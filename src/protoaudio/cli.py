@@ -243,10 +243,8 @@ def cmd_subset(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    env = os.environ.get("PROTOAUDIO_SEED")
-    seed = int(env) if env is not None else args.seed
     manifest, manifest_path = gen_synthetic_corpus(
-        args.out, args.classes, args.per_class, seed=seed
+        args.out, args.classes, args.per_class, seed=effective_seed({"seed": args.seed})
     )
     print(f"wrote {len(manifest)} clips across {len(manifest.classes)} classes; "
           f"manifest at {manifest_path}")

@@ -35,13 +35,13 @@ from .ops import (
     tanh,
     transpose,
 )
-from .tensor import Tape, Tensor, as_tensor, backward, checked_mode, parameter, set_checked
+from .tensor import Tape, Tensor, as_tensor, backward, checked_mode, parameter
 
 __all__ = [
     "AdamState", "adam_step", "save_archive", "load_archive",
     "GradcheckFailure", "gradcheck",
     "DIFFERENTIABLE_OPS",
-    "Tape", "Tensor", "as_tensor", "backward", "checked_mode", "parameter", "set_checked",
+    "Tape", "Tensor", "as_tensor", "backward", "checked_mode", "parameter",
     "absval", "add", "add_scalar", "clip", "concat", "conv1d", "conv2d",
     "cross_entropy", "log", "matmul", "max_pool1d", "max_pool2d", "mean_pool",
     "mul", "mul_scalar", "neg", "pad_rows", "relu", "reshape", "segment_mean",

@@ -3,7 +3,12 @@
 Ops record onto the innermost active Tape (a `with Tape():` block). With no
 tape active, or when no input carries gradient, ops run forward-only; frozen
 parameters are shareable for concurrent inference while a training step owns
-its tape exclusively.
+its tape exclusively. The tape stack and checked mode are per thread.
+
+backward() consumes the tape: once its sweep is done it releases the recorded
+nodes, and with them the activations they hold, so a step's memory is freed
+as soon as its tensors go out of scope rather than by the cyclic garbage
+collector. A second backward() through the same tape raises TapeConsumedError.
 """
 
 from __future__ import annotations
@@ -13,50 +18,39 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from ..errors import NonFiniteValueError, NonScalarLossError
-
-_state = threading.local()
+from ..errors import NonFiniteValueError, NonScalarLossError, TapeConsumedError
 
 
-def _tape_stack() -> list:
-    stack = getattr(_state, "tapes", None)
-    if stack is None:
-        stack = []
-        _state.tapes = stack
-    return stack
+class _ThreadState(threading.local):
+    def __init__(self):
+        self.tapes: list = []
+        self.checked = False
+
+
+_state = _ThreadState()
 
 
 def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
-_checked = False
-
-
-def set_checked(flag: bool) -> None:
-    """Toggle NaN/Inf screening of every op output (and backward gradients)."""
-    global _checked
-    _checked = bool(flag)
+    tapes = _state.tapes
+    return tapes[-1] if tapes else None
 
 
 class checked_mode:
-    """Context manager enabling checked mode within a block."""
+    """Context manager enabling NaN/Inf screening of every op output (and
+    backward gradients) in the calling thread within a block."""
 
     def __enter__(self):
-        global _checked
-        self._prev = _checked
-        _checked = True
+        self._prev = _state.checked
+        _state.checked = True
         return self
 
     def __exit__(self, *exc):
-        global _checked
-        _checked = self._prev
+        _state.checked = self._prev
         return False
 
 
 def guard_finite(data: np.ndarray, op_name: str) -> None:
-    if _checked and not np.all(np.isfinite(data)):
+    if _state.checked and not np.all(np.isfinite(data)):
         raise NonFiniteValueError(f"{op_name} produced non-finite values")
 
 
@@ -95,9 +89,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
@@ -128,13 +119,14 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.consumed = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _state.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _state.tapes.pop()
         return False
 
     def record(self, op_name, inputs, output, backward_fn) -> None:
@@ -151,15 +143,22 @@ def backward(loss: Tensor) -> dict:
 
     Returns {leaf Tensor: gradient Tensor} for every requires_grad leaf the
     loss depends on, and sets each leaf's .grad. Gradients sum across fan-out.
+    Consumes the loss's tape: its nodes are released when the sweep ends.
     """
     if loss.size != 1:
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.shape}")
     tape: Optional[Tape] = loss.tape
     if tape is None:
         return {}
+    if tape.consumed:
+        raise TapeConsumedError("backward() already ran through this tape")
+    # Each output points at its tape and the tape's nodes point back at their
+    # outputs; dropping the node list breaks that cycle.
+    tape.consumed = True
+    nodes, tape.nodes = tape.nodes, []
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
-    for node in reversed(tape.nodes):
+    for node in reversed(nodes):
         g = grads.pop(id(node.output), None)
         if g is None:
             continue

@@ -111,12 +111,6 @@ class Encoder:
     def embed_dim(self) -> int:
         return self.spec.embed_dim
 
-    def embed_clip(self, waveform) -> Tensor:
-        """Convenience path: one waveform -> (embed_dim,) embedding."""
-        from ..diffcore import reshape
-        out = self.embed_batch([self.prepare_input(waveform)])
-        return reshape(out, (self.embed_dim,))
-
     def state_dict(self) -> dict:
         return {name: p.data.copy() for name, p in self.params.items()}
 

@@ -29,8 +29,7 @@ class LstmEncoder(Encoder):
     """Single-layer LSTM; the hidden state is projected to the output width at
     every timestep and the per-timestep outputs are averaged over the clip."""
 
-    def __init__(self, spec: EncoderSpec, frontend: FrontendConfig, seed: int,
-                 param_prefix: str = ""):
+    def __init__(self, spec: EncoderSpec, frontend: FrontendConfig, seed: int):
         self.spec = spec
         self.frontend = frontend
         self._filterbank = build_mel_filterbank(frontend)
@@ -39,28 +38,22 @@ class LstmEncoder(Encoder):
         bound = 1.0 / np.sqrt(hidden)
         self.params = {}
         for gate in _GATES:
-            self.params[f"{param_prefix}wx_{gate}"] = Tensor(
+            self.params[f"wx_{gate}"] = Tensor(
                 scaled_uniform(rng, (N_MELS, hidden), bound), requires_grad=True)
-            self.params[f"{param_prefix}wh_{gate}"] = Tensor(
+            self.params[f"wh_{gate}"] = Tensor(
                 scaled_uniform(rng, (hidden, hidden), bound), requires_grad=True)
-            self.params[f"{param_prefix}b_{gate}"] = Tensor(
-                np.zeros(hidden, dtype=np.float32), requires_grad=True)
-        self.params[f"{param_prefix}wy"] = Tensor(
-            kaiming_uniform(rng, (hidden, out), hidden), requires_grad=True)
-        self.params[f"{param_prefix}by"] = Tensor(
-            np.zeros(out, dtype=np.float32), requires_grad=True)
-        self._prefix = param_prefix
+            self.params[f"b_{gate}"] = Tensor(np.zeros(hidden, dtype=np.float32),
+                                              requires_grad=True)
+        self.params["wy"] = Tensor(kaiming_uniform(rng, (hidden, out), hidden),
+                                   requires_grad=True)
+        self.params["by"] = Tensor(np.zeros(out, dtype=np.float32), requires_grad=True)
 
     def prepare_input(self, waveform) -> np.ndarray:
         return extract_features(waveform, self.frontend, self._filterbank).astype(np.float32)
 
     def _gate(self, name: str, x: Tensor, h: Tensor) -> Tensor:
         p = self.params
-        pre = add(
-            add(matmul(x, p[f"{self._prefix}wx_{name}"]),
-                matmul(h, p[f"{self._prefix}wh_{name}"])),
-            p[f"{self._prefix}b_{name}"],
-        )
+        pre = add(add(matmul(x, p[f"wx_{name}"]), matmul(h, p[f"wh_{name}"])), p[f"b_{name}"])
         return tanh(pre) if name == "g" else sigmoid(pre)
 
     def _embed_seq(self, feats: Tensor) -> Tensor:
@@ -82,7 +75,7 @@ class LstmEncoder(Encoder):
             go = self._gate("o", x, h)
             c = add(mul(gf, c), mul(gi, gg))
             h = mul(go, tanh(c))
-            outputs.append(add(matmul(h, p[f"{self._prefix}wy"]), p[f"{self._prefix}by"]))
+            outputs.append(add(matmul(h, p["wy"]), p["by"]))
         seq = batch_concat(outputs)                       # (T, out)
         return reshape(mean_pool(seq, 0), (1, self.spec.dims.lstm_out))
 

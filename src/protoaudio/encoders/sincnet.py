@@ -104,8 +104,7 @@ def sinc_init_mel(n_filters: int, sample_rate: int = SAMPLE_RATE,
 
 
 class SincNetEncoder(Encoder):
-    def __init__(self, spec: EncoderSpec, frontend: FrontendConfig, seed: int,
-                 param_prefix: str = ""):
+    def __init__(self, spec: EncoderSpec, frontend: FrontendConfig, seed: int):
         self.spec = spec
         self.frontend = frontend
         d = spec.dims
@@ -117,38 +116,26 @@ class SincNetEncoder(Encoder):
         rng = np.random.default_rng(seed)
         k, ch = d.sinc_stack_kernel, d.sinc_stack_channels
         self.params = {
-            f"{param_prefix}theta_low": Tensor(
-                init.theta_low.astype(np.float32), requires_grad=True),
-            f"{param_prefix}theta_band": Tensor(
-                init.theta_band.astype(np.float32), requires_grad=True),
-            f"{param_prefix}conv1_w": Tensor(
+            "theta_low": Tensor(init.theta_low.astype(np.float32), requires_grad=True),
+            "theta_band": Tensor(init.theta_band.astype(np.float32), requires_grad=True),
+            "conv1_w": Tensor(
                 kaiming_uniform(rng, (k, self.n_filters, ch), k * self.n_filters),
                 requires_grad=True),
-            f"{param_prefix}conv1_b": Tensor(np.zeros(ch, dtype=np.float32),
-                                             requires_grad=True),
-            f"{param_prefix}conv2_w": Tensor(
+            "conv1_b": Tensor(np.zeros(ch, dtype=np.float32), requires_grad=True),
+            "conv2_w": Tensor(
                 kaiming_uniform(rng, (k, ch, ch), k * ch), requires_grad=True),
-            f"{param_prefix}conv2_b": Tensor(np.zeros(ch, dtype=np.float32),
-                                             requires_grad=True),
+            "conv2_b": Tensor(np.zeros(ch, dtype=np.float32), requires_grad=True),
         }
-        self._prefix = param_prefix
         self._pad = k // 2
 
     def prepare_input(self, waveform) -> np.ndarray:
         return raw_samples(waveform)
 
-    def layer_params(self) -> SincLayerParams:
-        return SincLayerParams(
-            self.params[f"{self._prefix}theta_low"].data.astype(np.float64),
-            self.params[f"{self._prefix}theta_band"].data.astype(np.float64),
-            kernel_len=self.kernel_len,
-        )
-
     def _cutoffs(self):
         min_band = np.float32(MIN_BAND_HZ / SAMPLE_RATE)
-        f1 = clip(absval(self.params[f"{self._prefix}theta_low"]), 0.0, 0.5 - float(min_band))
-        f2 = clip(add(f1, add_scalar(absval(self.params[f"{self._prefix}theta_band"]),
-                                     float(min_band))), 0.0, 0.5)
+        f1 = clip(absval(self.params["theta_low"]), 0.0, 0.5 - float(min_band))
+        f2 = clip(add(f1, add_scalar(absval(self.params["theta_band"]), float(min_band))),
+                  0.0, 0.5)
         return f1, f2
 
     def feature_map(self, samples) -> Tensor:
@@ -165,10 +152,8 @@ class SincNetEncoder(Encoder):
         h = conv1d(reshape(x, (1, n, 1)), w, stride=self.stride)
         h = max_pool1d(log(add_scalar(absval(h), LOG_EPS)), 2)
         p = self.params
-        h = relu(conv1d(h, p[f"{self._prefix}conv1_w"], p[f"{self._prefix}conv1_b"],
-                        padding=self._pad))
-        h = relu(conv1d(h, p[f"{self._prefix}conv2_w"], p[f"{self._prefix}conv2_b"],
-                        padding=self._pad))
+        h = relu(conv1d(h, p["conv1_w"], p["conv1_b"], padding=self._pad))
+        h = relu(conv1d(h, p["conv2_w"], p["conv2_b"], padding=self._pad))
         return h
 
     def sinc_layer(self, samples) -> Tensor:
@@ -187,15 +172,19 @@ class ComposedSincEncoder(Encoder):
         self.spec = spec
         self.frontend = frontend
         head_kind = spec.kind.split("+")[1]
-        self.sinc = SincNetEncoder(spec, frontend, seed, param_prefix="sinc/")
+        self.sinc = SincNetEncoder(spec, frontend, seed)
         if self.sinc.spec.dims.sinc_stack_channels != N_MELS:
             raise DimensionMismatchError(
                 f"sinc stack width {self.sinc.spec.dims.sinc_stack_channels} must equal "
                 f"downstream feature width {N_MELS}"
             )
         head_cls = VggEncoder if head_kind == "vgg" else LstmEncoder
-        self.head = head_cls(spec, frontend, seed + 1, param_prefix=f"{head_kind}/")
-        self.params = {**self.sinc.params, **self.head.params}
+        self.head = head_cls(spec, frontend, seed + 1)
+        # Checkpoint names carry the sub-encoder; the Tensors are shared, so
+        # updates through either dict reach both.
+        self.params = {f"{prefix}/{name}": p
+                       for prefix, sub in (("sinc", self.sinc), (head_kind, self.head))
+                       for name, p in sub.params.items()}
 
     def prepare_input(self, waveform) -> np.ndarray:
         return raw_samples(waveform)

@@ -47,8 +47,7 @@ def window_count(n_frames: int) -> int:
 
 
 class VggEncoder(Encoder):
-    def __init__(self, spec: EncoderSpec, frontend: FrontendConfig, seed: int,
-                 param_prefix: str = ""):
+    def __init__(self, spec: EncoderSpec, frontend: FrontendConfig, seed: int):
         self.spec = spec
         self.frontend = frontend
         self._filterbank = build_mel_filterbank(frontend)
@@ -57,14 +56,13 @@ class VggEncoder(Encoder):
         in_ch = 1
         for i, out_ch in enumerate(spec.dims.vgg_channels, start=1):
             fan_in = 3 * 3 * in_ch
-            self.params[f"{param_prefix}conv{i}_w"] = Tensor(
+            self.params[f"conv{i}_w"] = Tensor(
                 kaiming_uniform(rng, (3, 3, in_ch, out_ch), fan_in), requires_grad=True
             )
-            self.params[f"{param_prefix}conv{i}_b"] = Tensor(
+            self.params[f"conv{i}_b"] = Tensor(
                 np.zeros(out_ch, dtype=np.float32), requires_grad=True
             )
             in_ch = out_ch
-        self._prefix = param_prefix
 
     def prepare_input(self, waveform) -> np.ndarray:
         return extract_features(waveform, self.frontend, self._filterbank).astype(np.float32)
@@ -89,8 +87,7 @@ class VggEncoder(Encoder):
         """(W, 96, 64, 1) window batch -> (W, embed_dim)."""
         p = self.params
         for i in range(8):
-            x = relu(conv2d(x, p[f"{self._prefix}conv{i + 1}_w"],
-                            p[f"{self._prefix}conv{i + 1}_b"], padding=1))
+            x = relu(conv2d(x, p[f"conv{i + 1}_w"], p[f"conv{i + 1}_b"], padding=1))
             if i in _POOL_AFTER:
                 x = max_pool2d(x, 2)
         return reshape(x, (x.shape[0], self.spec.dims.vgg_embed_dim))

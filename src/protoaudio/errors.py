@@ -43,6 +43,10 @@ class NonScalarLossError(ProtoAudioError):
     """backward() was asked to differentiate a non-scalar."""
 
 
+class TapeConsumedError(ProtoAudioError):
+    """backward() already ran through this tape and released its nodes."""
+
+
 # -- encoders --------------------------------------------------------------
 
 class DimensionMismatchError(ShapeMismatchError):

@@ -134,20 +134,26 @@ def classify(query_embedding, prototypes) -> Tensor:
     return reshape(probs, (protos.shape[0],)) if single else probs
 
 
+def prototype_logits(support_embeddings, query_embeddings) -> Tensor:
+    """(k, n, d) support, (Q, d) queries -> (Q, k) negative squared distances
+    to the class prototypes."""
+    protos = compute_prototypes(support_embeddings)
+    queries = as_tensor(query_embeddings)
+    if queries.ndim != 2 or queries.shape[1] != protos.shape[1]:
+        raise DimensionMismatchError(
+            f"queries {queries.shape} vs prototypes {protos.shape}"
+        )
+    return neg(squared_euclidean(queries, protos))
+
+
 def episode_loss(support_embeddings, query_embeddings, query_labels):
     """Mean query NLL plus argmax accuracy (ties break to the lowest class index).
 
     support_embeddings: (k, n, d); query_embeddings: (Q, d); labels: (Q,) ints.
     Returns (scalar loss Tensor, accuracy float).
     """
-    protos = compute_prototypes(support_embeddings)
-    queries = as_tensor(query_embeddings)
+    logits = prototype_logits(support_embeddings, query_embeddings)
     labels = np.asarray(query_labels, dtype=np.int64)
-    if queries.ndim != 2 or queries.shape[1] != protos.shape[1]:
-        raise DimensionMismatchError(
-            f"queries {queries.shape} vs prototypes {protos.shape}"
-        )
-    logits = neg(squared_euclidean(queries, protos))
     loss = cross_entropy(logits, labels)
     predictions = np.argmax(logits.data, axis=1)
     accuracy = float(np.mean(predictions == labels))

@@ -18,7 +18,7 @@ from .diffcore import AdamState, Tape, adam_step, backward, load_archive, save_a
 from .diffcore.ops import reshape, slice_rows
 from .encoders import Encoder, EncoderSpec, build_encoder
 from .errors import CheckpointMismatchError, ConfigError
-from .protonet import Episode, episode_loss, sample_episode
+from .protonet import Episode, episode_loss, prototype_logits, sample_episode
 
 
 @dataclass(frozen=True)
@@ -151,36 +151,45 @@ def score_episode(embeddings: Mapping[str, np.ndarray], episode: Episode) -> flo
         np.stack([embeddings[p] for p in block]) for block in episode.support
     ])
     queries = np.stack([embeddings[p] for p in episode.query_paths()])
-    _, accuracy = episode_loss(support, queries, episode.query_labels())
-    return accuracy
+    predictions = np.argmax(prototype_logits(support, queries).data, axis=1)
+    return float(np.mean(predictions == episode.query_labels()))
 
 
 def evaluate_embeddings(embeddings: Mapping[str, np.ndarray],
-                        split: Mapping[str, Sequence[str]],
-                        n_shot: int, k_way: int, q_query: int,
-                        n_episodes: int, seed: int) -> EvalReport:
-    """Sample n_episodes tasks and report mean accuracy with a 95% CI."""
-    rng = random.Random(f"{seed}/eval")
-    accs = np.empty(n_episodes)
-    for i in range(n_episodes):
-        episode = sample_episode(split, n_shot, k_way, q_query, rng)
-        accs[i] = score_episode(embeddings, episode)
+                        episodes: Sequence[Episode]) -> EvalReport:
+    """Mean episode accuracy with a 95% CI against a fixed embedding table."""
+    accs = np.array([score_episode(embeddings, e) for e in episodes])
     mean = float(accs.mean())
-    se = float(accs.std(ddof=0) / math.sqrt(n_episodes))
-    return EvalReport(mean, se, mean - 1.96 * se, mean + 1.96 * se, n_episodes)
+    se = float(accs.std(ddof=0) / math.sqrt(len(accs)))
+    return EvalReport(mean, se, mean - 1.96 * se, mean + 1.96 * se, len(accs))
+
+
+def evaluate_episodes(encoder: Encoder, cache: InputCache,
+                      episodes: Sequence[Episode]) -> EvalReport:
+    """The one evaluation path of validation and test: embeds, with frozen
+    parameters, only the clips the episodes touch, then scores each episode."""
+    paths = [p for e in episodes for p in e.support_paths() + e.query_paths()]
+    return evaluate_embeddings(embed_table(encoder, cache, paths), episodes)
+
+
+def sample_episodes(split: Mapping[str, Sequence[str]], cfg: TrainConfig,
+                    n_episodes: int, stream: str) -> list:
+    """n_episodes episodes of cfg's shape from their own seeded stream."""
+    rng = random.Random(stream)
+    return [sample_episode(split, cfg.n_shot, cfg.k_way, cfg.q_query, rng)
+            for _ in range(n_episodes)]
 
 
 def evaluate(encoder: Encoder, cache: InputCache,
              split: Mapping[str, Sequence[str]], cfg: TrainConfig,
              n_episodes: Optional[int] = None, seed: Optional[int] = None) -> EvalReport:
     """Protocol evaluation: defaults to cfg.test_episodes (1000) episodes."""
-    paths = [p for clips in split.values() for p in clips]
-    table = embed_table(encoder, cache, paths)
-    return evaluate_embeddings(
-        table, split, cfg.n_shot, cfg.k_way, cfg.q_query,
-        cfg.test_episodes if n_episodes is None else n_episodes,
-        cfg.seed if seed is None else seed,
-    )
+    n_episodes = cfg.test_episodes if n_episodes is None else n_episodes
+    if n_episodes < 1:
+        raise ConfigError(f"n_episodes must be positive, got {n_episodes}")
+    seed = cfg.seed if seed is None else seed
+    return evaluate_episodes(encoder, cache,
+                             sample_episodes(split, cfg, n_episodes, f"{seed}/eval"))
 
 
 def train(encoder: Encoder, train_split: Mapping[str, Sequence[str]],
@@ -217,14 +226,8 @@ def train(encoder: Encoder, train_split: Mapping[str, Sequence[str]],
         if val_metric is not None:
             return float(val_metric(encoder, ep))
         if val_episodes is None:
-            rng_val = random.Random(f"{cfg.seed}/val")
-            val_episodes = [
-                sample_episode(val_split, cfg.n_shot, cfg.k_way, cfg.q_query, rng_val)
-                for _ in range(cfg.val_episodes)
-            ]
-        paths = [p for e in val_episodes for p in e.support_paths() + e.query_paths()]
-        table = embed_table(encoder, cache, paths)
-        return float(np.mean([score_episode(table, e) for e in val_episodes]))
+            val_episodes = sample_episodes(val_split, cfg, cfg.val_episodes, f"{cfg.seed}/val")
+        return evaluate_episodes(encoder, cache, val_episodes).mean_accuracy
 
     for ep in range(1, cfg.max_episodes + 1):
         episode = sample_episode(train_split, cfg.n_shot, cfg.k_way, cfg.q_query, rng_ep)

@@ -150,6 +150,14 @@ def test_eval_byte_identical_reruns(trained_run):
     assert (trained_run / "eval_test.txt").read_bytes() == first_txt
 
 
+@pytest.mark.parametrize("episodes", ["0", "-1"])
+def test_eval_non_positive_episodes_exits_2(trained_run, episodes, capsys):
+    assert main(["eval", "--run", str(trained_run), "--split", "val",
+                 "--episodes", episodes]) == 2
+    assert "n_episodes" in capsys.readouterr().err
+    assert not (trained_run / "eval_val.json").exists()
+
+
 def test_eval_missing_run_exits_3(tmp_path):
     assert main(["eval", "--run", str(tmp_path / "ghost")]) == 3
 
@@ -191,6 +199,15 @@ def test_synth_command_counts(tmp_path, capsys):
     assert load_manifest(out_dir / "manifest.tsv").classes == [
         "class00", "class01", "class02", "class03"
     ]
+
+
+def test_synth_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PROTOAUDIO_SEED", "abc")
+    out_dir = tmp_path / "synth_corpus"
+    assert main(["synth", "--out", str(out_dir), "--classes", "2",
+                 "--per-class", "2"]) == 2
+    assert "'abc'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_bad_flags_exit_2():

@@ -1,4 +1,7 @@
+import gc
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from protoaudio.errors import (
     NonFiniteValueError,
     NonScalarLossError,
     ShapeMismatchError,
+    TapeConsumedError,
 )
 
 
@@ -100,6 +104,53 @@ def test_checked_mode_flags_nonfinite():
     # outside checked mode the same op just propagates the nan
     out = dc.log(dc.Tensor(np.array([-1.0])))
     assert np.isnan(out.data[0])
+
+
+def test_checked_mode_is_per_thread():
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_checked_mode():
+        with dc.checked_mode():
+            entered.set()
+            release.wait(timeout=10)
+
+    other = threading.Thread(target=hold_checked_mode)
+    other.start()
+    try:
+        assert entered.wait(timeout=10)
+        out = dc.log(dc.Tensor(np.array([-1.0])))   # must not raise here
+        assert np.isnan(out.data[0])
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def test_backward_frees_tape_without_cyclic_gc():
+    """A step's tape, and the activations its nodes hold, go as soon as the
+    step's names do; the cyclic collector is not needed."""
+    w = t64([[0.5, -1.0], [2.0, 0.3]])
+    gc.disable()
+    try:
+        with dc.Tape() as tape:
+            h = dc.tanh(dc.matmul(t64([[1.0, 2.0], [3.0, 4.0]], grad=False), w))
+            loss = dc.cross_entropy(h, np.array([0, 1]))
+            grads = dc.backward(loss)
+        alive = weakref.ref(tape)
+        del tape, h, loss, grads
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert w.grad is not None
+
+
+def test_second_backward_through_tape_raises():
+    x = t64([1.0, 2.0])
+    with dc.Tape():
+        loss = dc.sum_all(dc.mul(x, x))
+        dc.backward(loss)
+        with pytest.raises(TapeConsumedError):
+            dc.backward(loss)
 
 
 def test_non_grad_leaves_absent_from_map():

@@ -7,7 +7,9 @@ from protoaudio.dsp import FrontendConfig, mel_scale
 from protoaudio.encoders import (
     ComposedSincEncoder,
     EncoderSpec,
+    LstmEncoder,
     SincNetEncoder,
+    VggEncoder,
     build_encoder,
     clamp_cutoffs,
     sinc_init_mel,
@@ -248,6 +250,35 @@ def test_composed_embedding_dims_and_determinism():
         e2 = enc.embed_batch([enc.prepare_input(clip)]).data
         assert e1.shape == (1, dim)
         np.testing.assert_array_equal(e1, e2)
+
+
+SINC_NAMES = ["sinc/conv1_b", "sinc/conv1_w", "sinc/conv2_b", "sinc/conv2_w",
+              "sinc/theta_band", "sinc/theta_low"]
+COMPOSED_NAMES = {
+    "sincnet+vgg": SINC_NAMES + [f"vgg/conv{i}_{t}" for i in range(1, 9) for t in "bw"],
+    "sincnet+lstm": [f"lstm/{n}" for n in ("b_f", "b_g", "b_i", "b_o", "by", "wh_f", "wh_g",
+                                            "wh_i", "wh_o", "wx_f", "wx_g", "wx_i", "wx_o", "wy")]
+    + SINC_NAMES,
+}
+
+
+@pytest.mark.parametrize("kind,head_cls", [("sincnet+vgg", VggEncoder),
+                                           ("sincnet+lstm", LstmEncoder)])
+def test_composed_parameter_names_and_values(kind, head_cls):
+    """Checkpoint names are the sub-encoders' names under their prefix, each
+    naming the sub-encoder's own Tensor, whose value is that of the
+    sub-encoder built on its own with seed (sinc) or seed + 1 (head)."""
+    seed = 5
+    enc = make(kind, seed=seed)
+    assert sorted(enc.params) == COMPOSED_NAMES[kind]
+    head_kind = kind.split("+")[1]
+    spec = EncoderSpec(kind, "desk")
+    for prefix, owned, direct in (
+            ("sinc", enc.sinc, SincNetEncoder(spec, FRONTEND, seed)),
+            (head_kind, enc.head, head_cls(spec, FRONTEND, seed + 1))):
+        for name, p in owned.params.items():
+            assert enc.params[f"{prefix}/{name}"] is p
+            np.testing.assert_array_equal(p.data, direct.params[name].data)
 
 
 def test_gradient_reaches_sinc_cutoffs():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,18 @@ from protoaudio.training import (
     embed_table,
     evaluate,
     evaluate_embeddings,
+    evaluate_episodes,
     load_encoder_checkpoint,
     load_history,
     render_eval_table,
     restore_encoder,
+    sample_episodes,
     save_encoder_checkpoint,
     save_history,
+    score_episode,
     train,
 )
+from protoaudio.protonet import compute_prototypes, sample_episode
 
 
 class StubEncoder(Encoder):
@@ -144,10 +150,16 @@ def onehot_embeddings(split, dim=None):
     return table
 
 
+def eval_episodes(split, n_shot, k_way, q_query, n_episodes, seed):
+    """The test protocol's episodes: drawn from the "<seed>/eval" stream."""
+    cfg = TrainConfig(n_shot=n_shot, k_way=k_way, q_query=q_query)
+    return sample_episodes(split, cfg, n_episodes, f"{seed}/eval")
+
+
 def test_oracle_embedder_scores_perfectly():
     split = stub_split(5, 6)
-    report = evaluate_embeddings(onehot_embeddings(split), split,
-                                 n_shot=2, k_way=5, q_query=2, n_episodes=100, seed=0)
+    report = evaluate_embeddings(onehot_embeddings(split), eval_episodes(
+        split, n_shot=2, k_way=5, q_query=2, n_episodes=100, seed=0))
     assert report.mean_accuracy == 1.0
     assert report.std_error == 0.0
 
@@ -155,7 +167,7 @@ def test_oracle_embedder_scores_perfectly():
 def test_constant_embedder_scores_chance():
     split = stub_split(5, 6)
     table = {p: np.ones(3) for clips in split.values() for p in clips}
-    report = evaluate_embeddings(table, split, 2, 5, 2, n_episodes=200, seed=1)
+    report = evaluate_embeddings(table, eval_episodes(split, 2, 5, 2, n_episodes=200, seed=1))
     # ties resolve to episode class 0: exactly 1/k of queries per episode
     assert report.mean_accuracy == pytest.approx(0.2, abs=1e-12)
 
@@ -164,11 +176,64 @@ def test_evaluation_deterministic():
     split = stub_split(4, 8)
     rng = np.random.default_rng(0)
     table = {p: rng.normal(size=3) for clips in split.values() for p in clips}
-    a = evaluate_embeddings(table, split, 2, 3, 2, 100, seed=9)
-    b = evaluate_embeddings(table, split, 2, 3, 2, 100, seed=9)
+    a = evaluate_embeddings(table, eval_episodes(split, 2, 3, 2, 100, seed=9))
+    b = evaluate_embeddings(table, eval_episodes(split, 2, 3, 2, 100, seed=9))
     assert a == b
-    c = evaluate_embeddings(table, split, 2, 3, 2, 100, seed=10)
+    c = evaluate_embeddings(table, eval_episodes(split, 2, 3, 2, 100, seed=10))
     assert a != c
+
+
+def reference_score_episode(embeddings, episode):
+    """The scorer the prototype-logit one replaced: the query NLL's Tensor
+    path, whose logits' argmax gives the accuracy."""
+    support = np.stack([np.stack([embeddings[p] for p in block]) for block in episode.support])
+    queries = dc.Tensor(np.stack([embeddings[p] for p in episode.query_paths()]))
+    labels = episode.query_labels()
+    logits = dc.neg(dc.squared_euclidean(queries, compute_prototypes(support)))
+    dc.cross_entropy(logits, labels)
+    return float(np.mean(np.argmax(logits.data, axis=1) == labels))
+
+
+def test_score_episode_matches_reference_scorer():
+    rng = np.random.default_rng(4)
+    for trial in range(30):
+        n, k, q, d = rng.integers(1, 4), rng.integers(2, 6), rng.integers(1, 4), rng.integers(1, 9)
+        split = stub_split(k + 2, n + q + 2)
+        paths = [p for clips in split.values() for p in clips]
+        if trial == 0:
+            table = {p: np.full(d, 0.3) for p in paths}     # all equal: ties go to class 0
+        else:
+            scale = 10.0 ** rng.integers(-3, 4)
+            table = {p: scale * rng.normal(size=d) for p in paths}
+        episodes = [sample_episode(split, n, k, q, random.Random(trial * 100 + i))
+                    for i in range(20)]
+        got = [score_episode(table, e) for e in episodes]
+        want = [reference_score_episode(table, e) for e in episodes]
+        assert got == want
+        if trial == 0:
+            assert got == [1.0 / k] * len(episodes)
+
+
+def test_validation_matches_reference_loop():
+    """train()'s validation value is the mean over its fixed episodes, as the
+    loop it replaced computed it: embed the touched clips, score each one."""
+    enc = StubEncoder(seed=2)
+    cache = InputCache(enc, stub_loader)
+    split = stub_split(5, 8)
+    episodes = sample_episodes(split, tiny_cfg(k_way=3), 40, "1/val")
+    paths = [p for e in episodes for p in e.support_paths() + e.query_paths()]
+    table = embed_table(enc, cache, paths)
+    want = float(np.mean([reference_score_episode(table, e) for e in episodes]))
+    assert evaluate_episodes(enc, cache, episodes).mean_accuracy == want
+
+
+def test_evaluate_embeds_only_touched_clips():
+    enc = StubEncoder()
+    seen = []
+    cache = InputCache(enc, lambda path: seen.append(path) or stub_loader(path))
+    split = stub_split(6, 10)
+    evaluate(enc, cache, split, tiny_cfg(k_way=3), n_episodes=1)
+    assert len(seen) == 3 * (2 + 2)
 
 
 def test_evaluate_uses_test_episodes_default():
