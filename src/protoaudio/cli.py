@@ -142,8 +142,6 @@ def resolve_splits(values: dict, cfg: TrainConfig):
         ratios = tuple(float(r) for r in values["split_ratios"].split(","))
     except ValueError as exc:
         raise ConfigError(f"bad split_ratios {values['split_ratios']!r}") from exc
-    if len(ratios) != 3:
-        raise ConfigError(f"split_ratios needs 3 numbers, got {values['split_ratios']!r}")
     try:
         min_per_class = int(values["min_per_class"])
     except ValueError as exc:

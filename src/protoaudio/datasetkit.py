@@ -7,6 +7,7 @@ Relative clip paths resolve against the manifest's directory.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .audio_io import TimbreProfile, Waveform, synth_clip, write_wav
 from .errors import (
+    ConfigError,
     DuplicatePathError,
     EmptyLabelSetError,
     ManifestError,
@@ -137,6 +139,8 @@ def _largest_remainder(count: int, ratios: Sequence[float]) -> list:
 def make_splits(manifest: Manifest, ratios=(0.6, 0.2, 0.2),
                 min_per_class: int = 10, seed: int = 0) -> FewShotSplit:
     """Shuffle qualifying classes by seed, partition by largest-remainder rounding."""
+    if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ConfigError(f"split ratios must be 3 numbers, finite and positive, got {ratios}")
     per_class = manifest.by_class()
     qualifying = sorted(c for c, clips in per_class.items() if len(clips) >= min_per_class)
     dropped = tuple(sorted(set(per_class) - set(qualifying)))
@@ -190,6 +194,8 @@ def select_single_label_subset(manifest: Manifest, m_classes: int,
     perturbed incumbents, keeping the best set seen. Deterministic: the
     restart stream uses a fixed internal seed.
     """
+    if m_classes < 1:
+        raise ConfigError(f"subset needs at least 1 class, got {m_classes}")
     classes = manifest.classes
     if len(classes) < m_classes:
         raise TooFewClassesError(

@@ -385,11 +385,13 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     def bwd(g):
         gflat = g.reshape(B * Lo, O)
         dw = (col.T @ gflat).reshape(K, C, O)
-        dcol = (gflat @ wflat.T).reshape(B, Lo, K, C)
-        dxp = np.zeros((B, Lp, C), dtype=x.dtype)
-        for k in range(K):
-            dxp[:, k:k + stride * Lo:stride] += dcol[:, :, k]
-        dx = dxp[:, padding:padding + L] if padding else dxp
+        dx = None
+        if x.requires_grad:
+            dcol = (gflat @ wflat.T).reshape(B, Lo, K, C)
+            dxp = np.zeros((B, Lp, C), dtype=x.dtype)
+            for k in range(K):
+                dxp[:, k:k + stride * Lo:stride] += dcol[:, :, k]
+            dx = dxp[:, padding:padding + L] if padding else dxp
         if bias is None:
             return dx, dw
         return dx, dw, gflat.sum(axis=0)
@@ -431,15 +433,18 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     def bwd(g):
         gflat = np.ascontiguousarray(g).reshape(B * Ho * Wo, O)
         dw = np.zeros_like(w.data)
-        dxp = np.zeros((B, Hp, Wp, C), dtype=x.dtype)
+        dxp = np.zeros((B, Hp, Wp, C), dtype=x.dtype) if x.requires_grad else None
         for kh in range(KH):
             for kw in range(KW):
                 hs = slice(kh, kh + stride * Ho, stride)
                 ws = slice(kw, kw + stride * Wo, stride)
                 xs = np.ascontiguousarray(xp[:, hs, ws, :]).reshape(-1, C)
                 dw[kh, kw] = xs.T @ gflat
-                dxp[:, hs, ws, :] += (gflat @ w.data[kh, kw].T).reshape(B, Ho, Wo, C)
-        dx = dxp[:, padding:padding + H, padding:padding + W, :] if padding else dxp
+                if dxp is not None:
+                    dxp[:, hs, ws, :] += (gflat @ w.data[kh, kw].T).reshape(B, Ho, Wo, C)
+        dx = dxp
+        if dxp is not None and padding:
+            dx = dxp[:, padding:padding + H, padding:padding + W, :]
         if bias is None:
             return dx, dw
         return dx, dw, gflat.sum(axis=0)

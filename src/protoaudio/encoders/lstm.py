@@ -10,9 +10,10 @@ from ..diffcore import (
     Tensor,
     add,
     as_tensor,
+    concat,
     matmul,
-    mean_pool,
     mul,
+    pad_rows,
     reshape,
     sigmoid,
     slice_rows,
@@ -20,7 +21,7 @@ from ..diffcore import (
 )
 from ..dsp import FrontendConfig, build_mel_filterbank, extract_features
 from ..errors import DimensionMismatchError
-from .base import N_MELS, Encoder, EncoderSpec, batch_concat, kaiming_uniform, scaled_uniform
+from .base import N_MELS, Encoder, EncoderSpec, kaiming_uniform, scaled_uniform
 
 _GATES = ("i", "f", "g", "o")
 
@@ -51,33 +52,34 @@ class LstmEncoder(Encoder):
     def prepare_input(self, waveform) -> np.ndarray:
         return extract_features(waveform, self.frontend, self._filterbank).astype(np.float32)
 
-    def _gate(self, name: str, x: Tensor, h: Tensor) -> Tensor:
-        p = self.params
-        pre = add(add(matmul(x, p[f"wx_{name}"]), matmul(h, p[f"wh_{name}"])), p[f"b_{name}"])
-        return tanh(pre) if name == "g" else sigmoid(pre)
-
-    def _embed_seq(self, feats: Tensor) -> Tensor:
-        """(T, n_mels) -> (1, out): unrolled LSTM with per-step projection."""
-        if feats.ndim != 2 or feats.shape[1] != N_MELS:
-            raise DimensionMismatchError(
-                f"lstm expects (T, {N_MELS}) features, got {feats.shape}"
-            )
-        hidden = self.spec.dims.lstm_hidden
-        h = Tensor(np.zeros((1, hidden), dtype=np.float32))
-        c = Tensor(np.zeros((1, hidden), dtype=np.float32))
-        p = self.params
-        outputs = []
-        for t in range(feats.shape[0]):
-            x = slice_rows(feats, t, t + 1)
-            gi = self._gate("i", x, h)
-            gf = self._gate("f", x, h)
-            gg = self._gate("g", x, h)
-            go = self._gate("o", x, h)
-            c = add(mul(gf, c), mul(gi, gg))
-            h = mul(go, tanh(c))
-            outputs.append(add(matmul(h, p["wy"]), p["by"]))
-        seq = batch_concat(outputs)                       # (T, out)
-        return reshape(mean_pool(seq, 0), (1, self.spec.dims.lstm_out))
-
     def embed_batch(self, inputs: Sequence) -> Tensor:
-        return batch_concat([self._embed_seq(as_tensor(item)) for item in inputs])
+        """B clips of (T_b, n_mels) -> (B, out) in one time-major recurrence:
+        clips are zero-padded at their end to the longest, T, and step t runs
+        every clip at once. The recurrence is causal, so padding changes no
+        state inside a clip; padded steps get weight 0 in the mean."""
+        feats = [as_tensor(item) for item in inputs]
+        for seq in feats:
+            if seq.ndim != 2 or seq.shape[1] != N_MELS:
+                raise DimensionMismatchError(
+                    f"lstm expects (T, {N_MELS}) features, got {seq.shape}"
+                )
+        lengths = [seq.shape[0] for seq in feats]
+        steps, n = max(lengths), len(feats)
+        frames = concat([pad_rows(seq, steps) for seq in feats], axis=1)   # (T, B*n_mels)
+        p = self.params
+        h = c = Tensor(np.zeros((n, self.spec.dims.lstm_hidden), dtype=np.float32))
+        states = []
+        for t in range(steps):
+            x = reshape(slice_rows(frames, t, t + 1), (n, N_MELS))
+            pre = {g: add(add(matmul(x, p[f"wx_{g}"]), matmul(h, p[f"wh_{g}"])), p[f"b_{g}"])
+                   for g in _GATES}
+            i, f, o = (sigmoid(pre[g]) for g in "ifo")
+            c = add(mul(f, c), mul(i, tanh(pre["g"])))
+            h = mul(o, tanh(c))
+            states.append(h)
+        proj = add(matmul(concat(states, axis=0), p["wy"]), p["by"])   # (T*B, out)
+        # weights[b, t*B + b] = 1/len_b for t < len_b: the mean over real steps
+        weights = np.zeros((n, steps, n), dtype=proj.dtype)
+        for b, length in enumerate(lengths):
+            weights[b, :length, b] = 1.0 / length
+        return matmul(Tensor(weights.reshape(n, steps * n)), proj)

@@ -21,16 +21,14 @@ from ..diffcore import (
     absval,
     add,
     add_scalar,
-    as_tensor,
     clip,
     conv1d,
     log,
     max_pool1d,
-    mean_pool,
     relu,
     reshape,
+    segment_mean,
     sinc_kernel,
-    slice_rows,
     transpose,
 )
 from ..dsp import FrontendConfig, mel_inverse, mel_scale
@@ -138,31 +136,31 @@ class SincNetEncoder(Encoder):
                   0.0, 0.5)
         return f1, f2
 
-    def feature_map(self, samples) -> Tensor:
-        """(N,) waveform -> (1, T', n_filters) map (band-pass + nonlinearity + stack)."""
-        x = as_tensor(np.asarray(samples, dtype=np.float32))
-        n = x.shape[0]
-        if n < self.kernel_len:
-            raise KernelTooLongError(
-                f"waveform of {n} samples shorter than kernel {self.kernel_len}"
-            )
+    def feature_maps(self, inputs: Sequence) -> list:
+        """(N_b,) waveforms -> time-major (T'_b, channels) maps. The band-pass
+        kernels are built once per call; the conv stack runs per clip."""
         f1, f2 = self._cutoffs()
         kernels = sinc_kernel(f1, f2, self.kernel_len, self._window)   # (F, L)
         w = reshape(transpose(kernels), (self.kernel_len, 1, self.n_filters))
-        h = conv1d(reshape(x, (1, n, 1)), w, stride=self.stride)
-        h = max_pool1d(log(add_scalar(absval(h), LOG_EPS)), 2)
         p = self.params
-        h = relu(conv1d(h, p["conv1_w"], p["conv1_b"], padding=self._pad))
-        h = relu(conv1d(h, p["conv2_w"], p["conv2_b"], padding=self._pad))
-        return h
-
-    def sinc_layer(self, samples) -> Tensor:
-        """Filter-major view of the feature map: (n_filters, T')."""
-        h = self.feature_map(samples)
-        return transpose(reshape(h, (h.shape[1], h.shape[2])))
+        maps = []
+        for samples in inputs:
+            x = np.asarray(samples, dtype=np.float32)
+            n = x.shape[0]
+            if n < self.kernel_len:
+                raise KernelTooLongError(
+                    f"waveform of {n} samples shorter than kernel {self.kernel_len}"
+                )
+            h = conv1d(Tensor(x.reshape(1, n, 1)), w, stride=self.stride)
+            h = max_pool1d(log(add_scalar(absval(h), LOG_EPS)), 2)
+            h = relu(conv1d(h, p["conv1_w"], p["conv1_b"], padding=self._pad))
+            h = relu(conv1d(h, p["conv2_w"], p["conv2_b"], padding=self._pad))
+            maps.append(reshape(h, h.shape[1:]))
+        return maps
 
     def embed_batch(self, inputs: Sequence) -> Tensor:
-        return batch_concat([mean_pool(self.feature_map(item), 1) for item in inputs])
+        maps = self.feature_maps(inputs)
+        return segment_mean(batch_concat(maps), [m.shape[0] for m in maps])
 
 
 class ComposedSincEncoder(Encoder):
@@ -190,8 +188,4 @@ class ComposedSincEncoder(Encoder):
         return raw_samples(waveform)
 
     def embed_batch(self, inputs: Sequence) -> Tensor:
-        maps = []
-        for item in inputs:
-            m = self.sinc.feature_map(item)
-            maps.append(reshape(m, (m.shape[1], m.shape[2])))   # (T', 64) time-major
-        return self.head.embed_batch(maps)
+        return self.head.embed_batch(self.sinc.feature_maps(inputs))

@@ -111,6 +111,18 @@ def test_train_unknown_config_key_exits_2(tmp_path, corpus):
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("lr", "nan"), ("lr", "inf"),
+    ("split_ratios", "0,0,0"), ("split_ratios", "nan,1,1"), ("split_ratios", "-1,1,1"),
+])
+def test_train_non_finite_or_non_positive_numbers_exit_2(tmp_path, corpus, key, value, capsys):
+    config = write_config(tmp_path, corpus, **{key: value})
+    out = tmp_path / "r"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not (out / "history.jsonl").exists()
+
+
 def test_env_seed_overrides_config(corpus, tmp_path, monkeypatch):
     config = write_config(tmp_path, corpus)
     monkeypatch.setenv("PROTOAUDIO_SEED", "77")
@@ -188,6 +200,16 @@ def test_subset_command_worked_instance(tmp_path, capsys):
     kept = load_manifest(filtered)
     assert len(kept) == 3
     assert kept.is_single_label
+
+
+@pytest.mark.parametrize("classes", ["0", "-1"])
+def test_subset_fewer_than_one_class_exits_2(tmp_path, classes, capsys):
+    manifest = tmp_path / "multi.tsv"
+    manifest.write_text("1.wav\tA\n2.wav\tB\n")
+    assert main(["subset", "--manifest", str(manifest), "--classes", classes]) == 2
+    captured = capsys.readouterr()
+    assert "at least 1 class" in captured.err
+    assert "J=" not in captured.out
 
 
 def test_synth_command_counts(tmp_path, capsys):

@@ -19,6 +19,7 @@ from protoaudio.datasetkit import (
 )
 from protoaudio.dsp import FrontendConfig, extract_features
 from protoaudio.errors import (
+    ConfigError,
     DuplicatePathError,
     EmptyLabelSetError,
     ManifestParseError,
@@ -134,6 +135,13 @@ def test_split_needs_three_classes():
         make_splits(single_label_manifest(2, 10), min_per_class=3)
 
 
+@pytest.mark.parametrize("ratios", [(0, 0, 0), (float("nan"), 1, 1), (-1, 1, 1),
+                                    (1, 1, float("inf")), (0.5, 0.5)])
+def test_split_rejects_bad_ratios(ratios):
+    with pytest.raises(ConfigError):
+        make_splits(single_label_manifest(10, 12), ratios, min_per_class=5)
+
+
 def test_every_split_gets_a_class_even_with_skewed_ratios():
     split = make_splits(single_label_manifest(4, 10), (0.9, 0.05, 0.05), min_per_class=3)
     assert min(len(split.train), len(split.val), len(split.test)) >= 1
@@ -230,6 +238,12 @@ def test_objective_not_monotone():
 def test_subset_needs_enough_classes():
     with pytest.raises(TooFewClassesError):
         select_single_label_subset(worked_instance(), 5)
+
+
+@pytest.mark.parametrize("m_classes", [0, -1])
+def test_subset_needs_at_least_one_class(m_classes):
+    with pytest.raises(ConfigError):
+        select_single_label_subset(worked_instance(), m_classes)
 
 
 def test_filter_to_subset_worked_instance():

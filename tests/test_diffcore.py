@@ -164,6 +164,32 @@ def test_non_grad_leaves_absent_from_map():
     np.testing.assert_array_equal(gmap[x].data, [3.0, 4.0])
 
 
+@pytest.mark.parametrize("op,x_shape,w_shape", [
+    (lambda x, w, b: dc.conv1d(x, w, b, stride=2, padding=1), (2, 11, 3), (5, 3, 4)),
+    (lambda x, w, b: dc.conv2d(x, w, b, padding=1), (2, 4, 6, 3), (3, 3, 3, 4)),
+], ids=["conv1d", "conv2d"])
+def test_conv_frozen_input_skips_input_gradient(op, x_shape, w_shape):
+    """A conv input that needs no gradient gets none, and its backward does
+    not compute one; the weight and bias gradients are unchanged."""
+    rng = np.random.default_rng(11)
+    x_data = rng.standard_normal(x_shape)
+    w, b = t64(rng.standard_normal(w_shape)), t64(rng.standard_normal(w_shape[-1]))
+    grads = {}
+    for frozen in (False, True):
+        x = t64(x_data, grad=not frozen)
+        with dc.Tape() as tape:
+            out = op(x, w, b)
+            node = tape.nodes[-1]
+            weights = dc.Tensor(np.cos(np.arange(out.size)).reshape(out.shape))
+            gmap = dc.backward(dc.sum_all(dc.mul(out, weights)))
+        grads[frozen] = (gmap[w].data, gmap[b].data)
+        assert (x in gmap) is not frozen
+    assert x.grad is None
+    assert node.backward_fn(np.ones(out.shape))[0] is None
+    for got, want in zip(grads[True], grads[False]):
+        np.testing.assert_array_equal(got, want)
+
+
 # -- Adam ----------------------------------------------------------------------
 
 

@@ -143,6 +143,27 @@ def test_lstm_matches_explicit_unroll():
     )
 
 
+def test_lstm_ragged_batch_matches_oracle():
+    """Clips of different lengths embedded in one batch each match their own
+    unroll: padding a clip at its end changes nothing it computes."""
+    enc = make("lstm")
+    rng = np.random.default_rng(9)
+    batch = [rand_feats(rng, t) for t in (1, 37, 96, 118)]
+    embs = enc.embed_batch(batch).data
+    for emb, feats in zip(embs, batch):
+        np.testing.assert_allclose(emb, lstm_oracle(enc, feats), atol=1e-5)
+
+
+def test_lstm_desk_forward_tape_size():
+    enc = make("lstm")
+    rng = np.random.default_rng(10)
+    # the longest clip sets the step count: 118 frames is 1.2 s of audio
+    lengths = [118] + list(rng.integers(49, 119, size=49))
+    with dc.Tape() as tape:
+        enc.embed_batch([rand_feats(rng, t) for t in lengths])
+    assert len(tape) < 3000
+
+
 def test_lstm_is_order_sensitive():
     enc = make("lstm")
     rng = np.random.default_rng(5)
@@ -206,15 +227,23 @@ def test_sinc_kernel_band_response():
 def test_sinc_rejects_short_waveform():
     enc = make("sincnet")
     with pytest.raises(KernelTooLongError):
-        enc.feature_map(np.zeros(100, dtype=np.float32))
+        enc.feature_maps([np.zeros(100, dtype=np.float32)])
 
 
 def test_sinc_layer_orientation():
     enc = make("sincnet")
     clip = synth_clip(TimbreProfile(440.0), 0.5, seed=0)
-    fmap = enc.sinc_layer(clip.samples)
-    assert fmap.shape[0] == 64
-    assert fmap.shape[1] > 1
+    fmap = enc.feature_maps([clip.samples])[0]     # time-major (T', channels)
+    assert fmap.shape[1] == 64
+    assert fmap.shape[0] > 1
+
+
+@pytest.mark.parametrize("kind", ["sincnet", "sincnet+vgg", "sincnet+lstm"])
+def test_sinc_kernels_built_once_per_batch(kind):
+    enc = make(kind)
+    with dc.Tape() as tape:
+        enc.embed_batch(tiny_episode_inputs(enc))
+    assert [node.op_name for node in tape.nodes].count("sinc_kernel") == 1
 
 
 def test_clamp_keeps_cutoffs_ordered_after_updates():
@@ -297,6 +326,87 @@ def test_gradient_reaches_sinc_cutoffs():
     assert np.any(grads["sinc/theta_low"] != 0) or np.any(grads["sinc/theta_band"] != 0)
     dc.adam_step(enc.params, grads, state, lr=1e-3)
     assert not np.array_equal(before, enc.params["sinc/theta_low"].data)
+
+
+# The per-clip forwards the batched encoders replaced, kept as references.
+
+
+def per_clip_lstm(enc, feats):
+    """(T, 64) -> (1, out): a separate recurrence, and separate gates, per clip."""
+    p = enc.params
+
+    def gate(name, x, h):
+        pre = dc.add(dc.add(dc.matmul(x, p[f"wx_{name}"]), dc.matmul(h, p[f"wh_{name}"])),
+                     p[f"b_{name}"])
+        return dc.tanh(pre) if name == "g" else dc.sigmoid(pre)
+
+    h = dc.Tensor(np.zeros((1, enc.spec.dims.lstm_hidden), dtype=np.float32))
+    c = dc.Tensor(np.zeros((1, enc.spec.dims.lstm_hidden), dtype=np.float32))
+    outputs = []
+    for t in range(feats.shape[0]):
+        x = dc.slice_rows(feats, t, t + 1)
+        gi, gf, gg, go = (gate(g, x, h) for g in "ifgo")
+        c = dc.add(dc.mul(gf, c), dc.mul(gi, gg))
+        h = dc.mul(go, dc.tanh(c))
+        outputs.append(dc.add(dc.matmul(h, p["wy"]), p["by"]))
+    seq = dc.concat(outputs, axis=0) if len(outputs) > 1 else outputs[0]
+    return dc.reshape(dc.mean_pool(seq, 0), (1, enc.spec.dims.lstm_out))
+
+
+def per_clip_sinc_map(enc, samples):
+    """(N,) -> time-major (T', 64), with the band-pass kernels rebuilt per clip."""
+    x = dc.Tensor(np.asarray(samples, dtype=np.float32))
+    n = x.shape[0]
+    f1, f2 = enc._cutoffs()
+    kernels = dc.sinc_kernel(f1, f2, enc.kernel_len, enc._window)
+    w = dc.reshape(dc.transpose(kernels), (enc.kernel_len, 1, enc.n_filters))
+    h = dc.conv1d(dc.reshape(x, (1, n, 1)), w, stride=enc.stride)
+    h = dc.max_pool1d(dc.log(dc.add_scalar(dc.absval(h), 1e-6)), 2)
+    p = enc.params
+    h = dc.relu(dc.conv1d(h, p["conv1_w"], p["conv1_b"], padding=enc._pad))
+    h = dc.relu(dc.conv1d(h, p["conv2_w"], p["conv2_b"], padding=enc._pad))
+    return dc.reshape(h, (h.shape[1], h.shape[2]))
+
+
+def per_clip_embed(enc, kind, item):
+    if kind == "lstm":
+        return per_clip_lstm(enc, dc.as_tensor(item))
+    if kind == "sincnet":
+        return dc.reshape(dc.mean_pool(per_clip_sinc_map(enc, item), 0), (1, enc.embed_dim))
+    return per_clip_lstm(enc.head, per_clip_sinc_map(enc.sinc, item))
+
+
+@pytest.mark.parametrize("kind", ["lstm", "sincnet", "sincnet+lstm"])
+def test_batched_forward_matches_per_clip_gradients(kind):
+    """Embeddings and parameter gradients of a fixed loss over a ragged batch
+    equal those of the per-clip forward. Parameters are cast to float64 so the
+    comparison sees the computation, not float32 summation order: in float32
+    the cutoff gradients, 251-tap sums with heavy cancellation, move by a few
+    1e-5 of their largest entry when the per-clip kernel gradients are summed
+    before the sinc backward rather than after it."""
+    enc = make(kind, seed=2)
+    for p in enc.params.values():
+        p.data = p.data.astype(np.float64)
+    rng = np.random.default_rng(12)
+    if kind == "lstm":
+        inputs = [rand_feats(rng, t) for t in (1, 37, 96, 118)]
+    else:   # sinc maps of 1, 28, 58 and 73 frames
+        inputs = [rng.uniform(-0.5, 0.5, size=n).astype(np.float32)
+                  for n in (480, 4800, 9600, 12000)]
+    weights = dc.Tensor(rng.standard_normal((len(inputs), enc.embed_dim)))
+    results = []
+    for embed in (enc.embed_batch,
+                  lambda items: dc.concat([per_clip_embed(enc, kind, x) for x in items])):
+        with dc.Tape():
+            emb = embed(inputs)
+            gmap = dc.backward(dc.sum_all(dc.mul(emb, weights)))
+        results.append((emb.data, {n: gmap[p].data for n, p in enc.params.items()}))
+    (emb, grads), (ref_emb, ref_grads) = results
+    np.testing.assert_allclose(emb, ref_emb, rtol=0, atol=1e-5 * np.abs(ref_emb).max())
+    assert sorted(grads) == sorted(ref_grads)
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-5 * np.abs(ref).max(),
+                                   err_msg=name)
 
 
 @pytest.mark.parametrize("kind", ["vgg", "lstm", "sincnet", "sincnet+vgg", "sincnet+lstm"])

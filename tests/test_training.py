@@ -123,6 +123,9 @@ def test_config_validation():
         TrainConfig(n_shot=0)
     with pytest.raises(ConfigError):
         TrainConfig(lr=-1.0)
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            TrainConfig(lr=lr)
 
 
 def test_protocol_defaults():
