@@ -403,8 +403,13 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution: x (B, H, W, C), w (KH, KW, C, O) -> (B, Ho, Wo, O).
 
-    Implemented as a sum of shifted GEMMs, which keeps the big copies
-    sequential (measurably faster than im2col at these sizes).
+    A single-channel input (the log-mel windows into `vgg` conv1) runs as one
+    im2col GEMM: KH·KW slice copies fill a (B·Ho·Wo, KH·KW) matrix, where the
+    shifted form below would run KH·KW GEMMs of inner size 1 (~10x slower).
+    With C > 1 the forward is a sum of KH·KW shifted GEMMs of inner size C,
+    which keeps the big copies sequential: im2col measured no faster there,
+    and its KH·KW·C-long dot products round differently. The backward is the
+    shifted form for every C; im2col's measured up to 2.8x slower.
     """
     x, w = as_tensor(x), as_tensor(w)
     bias = as_tensor(b) if b is not None else None
@@ -421,11 +426,21 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     Wo = (Wp - KW) // stride + 1
     xp = (np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
           if padding else x.data)
-    acc = np.zeros((B * Ho * Wo, O), dtype=x.dtype)
-    for kh in range(KH):
-        for kw in range(KW):
-            xs = xp[:, kh:kh + stride * Ho:stride, kw:kw + stride * Wo:stride, :]
-            acc += np.ascontiguousarray(xs).reshape(-1, C) @ w.data[kh, kw]
+
+    def window(kh, kw):
+        return xp[:, kh:kh + stride * Ho:stride, kw:kw + stride * Wo:stride, :]
+
+    if C == 1:
+        col = np.empty((B, Ho, Wo, KH * KW), dtype=x.dtype)
+        for kh in range(KH):
+            for kw in range(KW):
+                col[..., kh * KW + kw] = window(kh, kw)[..., 0]
+        acc = col.reshape(-1, KH * KW) @ w.data.reshape(KH * KW, O)
+    else:
+        acc = np.zeros((B * Ho * Wo, O), dtype=x.dtype)
+        for kh in range(KH):
+            for kw in range(KW):
+                acc += np.ascontiguousarray(window(kh, kw)).reshape(-1, C) @ w.data[kh, kw]
     if bias is not None:
         acc += bias.data
     out = acc.reshape(B, Ho, Wo, O)
@@ -453,27 +468,37 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     return _finish("conv2d", inputs, out, bwd)
 
 
+def _max_pool(op_name: str, x: Tensor, windows: list) -> Tensor:
+    """Elementwise max of the strided views x[w] for w in windows. The
+    backward sends each output's gradient to the first view, in window order,
+    that holds its max: argmax's tie rule."""
+    views = [x.data[w] for w in windows]
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+
+    def bwd(g):
+        dx = np.zeros_like(x.data)
+        taken = np.zeros(out.shape, dtype=bool)
+        for w, view in zip(windows, views):
+            hit = (view == out) & ~taken
+            dx[w] = np.where(hit, g, 0)
+            taken |= hit
+        return (dx,)
+
+    return _finish(op_name, (x,), out, bwd)
+
+
 def max_pool1d(x, k: int = 2) -> Tensor:
-    """Non-overlapping max pooling over time; a trailing remainder is dropped."""
+    """Non-overlapping max pooling over time; a trailing remainder is dropped
+    and gets zero gradient."""
     x = as_tensor(x)
     if x.ndim != 3:
         raise ShapeMismatchError(f"max_pool1d: need (B, L, C), got {x.data.shape}")
-    B, L, C = x.data.shape
-    L2 = L // k
+    L2 = x.data.shape[1] // k
     if L2 < 1:
-        raise ShapeMismatchError(f"max_pool1d: length {L} < pool {k}")
-    v = x.data[:, :L2 * k].reshape(B, L2, k, C)
-    out = v.max(axis=2)
-
-    def bwd(g):
-        idx = v.argmax(axis=2)
-        z = np.zeros_like(v)
-        np.put_along_axis(z, idx[:, :, None, :], g[:, :, None, :], axis=2)
-        dx = np.zeros_like(x.data)
-        dx[:, :L2 * k] = z.reshape(B, L2 * k, C)
-        return (dx,)
-
-    return _finish("max_pool1d", (x,), out, bwd)
+        raise ShapeMismatchError(f"max_pool1d: length {x.data.shape[1]} < pool {k}")
+    return _max_pool("max_pool1d", x, [np.s_[:, i:L2 * k:k] for i in range(k)])
 
 
 def max_pool2d(x, k: int = 2) -> Tensor:
@@ -481,22 +506,11 @@ def max_pool2d(x, k: int = 2) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeMismatchError(f"max_pool2d: need (B, H, W, C), got {x.data.shape}")
-    B, H, W, C = x.data.shape
+    H, W = x.data.shape[1:3]
     if H % k or W % k:
         raise ShapeMismatchError(f"max_pool2d: ({H},{W}) not divisible by pool {k}")
-    H2, W2 = H // k, W // k
-    v = x.data.reshape(B, H2, k, W2, k, C)
-    out = v.max(axis=(2, 4))
-
-    def bwd(g):
-        vt = np.ascontiguousarray(v.transpose(0, 1, 3, 5, 2, 4)).reshape(B, H2, W2, C, k * k)
-        idx = vt.argmax(axis=-1)
-        z = np.zeros_like(vt)
-        np.put_along_axis(z, idx[..., None], g[..., None], axis=-1)
-        dx = z.reshape(B, H2, W2, C, k, k).transpose(0, 1, 4, 2, 5, 3).reshape(B, H, W, C)
-        return (np.ascontiguousarray(dx),)
-
-    return _finish("max_pool2d", (x,), out, bwd)
+    return _max_pool("max_pool2d", x,
+                     [np.s_[:, i::k, j::k] for i in range(k) for j in range(k)])
 
 
 # -- parameterized band-pass kernels --------------------------------------------

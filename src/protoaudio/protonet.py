@@ -2,8 +2,10 @@
 
 An episode is one n-shot k-way task. Class probabilities for a query are the
 softmax of negative squared Euclidean distances to the class prototypes (the
-mean embeddings of each class's support clips). The same functions serve
-training (inputs on a tape) and frozen evaluation (plain arrays).
+mean embeddings of each class's support clips). These functions take Tensors
+or plain arrays; training scores through them on a tape, and frozen
+evaluation (training.score_episode) applies the same rule to arrays of
+episodes at once.
 """
 
 from __future__ import annotations

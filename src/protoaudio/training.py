@@ -17,8 +17,8 @@ from .audio_io import load_wav
 from .diffcore import AdamState, Tape, adam_step, backward, load_archive, save_archive
 from .diffcore.ops import reshape, slice_rows
 from .encoders import Encoder, EncoderSpec, build_encoder
-from .errors import CheckpointMismatchError, ConfigError
-from .protonet import Episode, episode_loss, prototype_logits, sample_episode
+from .errors import CheckpointMismatchError, ConfigError, ShapeMismatchError
+from .protonet import Episode, episode_loss, sample_episode
 
 
 @dataclass(frozen=True)
@@ -145,20 +145,43 @@ def embed_table(encoder: Encoder, cache: InputCache, paths: Sequence[str],
     return table
 
 
-def score_episode(embeddings: Mapping[str, np.ndarray], episode: Episode) -> float:
-    """Accuracy of one episode against a fixed embedding table."""
-    support = np.stack([
-        np.stack([embeddings[p] for p in block]) for block in episode.support
-    ])
-    queries = np.stack([embeddings[p] for p in episode.query_paths()])
-    predictions = np.argmax(prototype_logits(support, queries).data, axis=1)
-    return float(np.mean(predictions == episode.query_labels()))
+# Byte budget of the (episodes, k·q, k, d) float64 query-prototype differences
+# score_episode holds at once; it bounds the chunk of episodes scored together.
+SCORE_CHUNK_BYTES = 4 << 20
+
+
+def score_episode(embeddings: Mapping[str, np.ndarray],
+                  episodes: Sequence[Episode]) -> np.ndarray:
+    """Per-episode accuracies of equally shaped episodes against a fixed
+    embedding table: the argmax of the prototype logits (Snell, Swersky &
+    Zemel 2017), ties to the lowest class, scored a chunk of episodes at a
+    time with the arithmetic of protonet.prototype_logits."""
+    if not episodes:
+        raise ConfigError("no episodes to score")
+    shapes = {(e.k_way, e.n_shot, e.n_query) for e in episodes}
+    if len(shapes) > 1:
+        raise ShapeMismatchError(f"episodes of (k, n, q) shapes {sorted(shapes)}; need one")
+    [(k, n, q)] = shapes
+    row = {p: i for i, p in enumerate(embeddings)}
+    table = np.array([embeddings[p] for p in row], dtype=np.float64)          # (N, d)
+    support = np.array([[row[p] for p in e.support_paths()] for e in episodes])
+    support = support.reshape(-1, k, n)                                       # (E, k, n)
+    query = np.array([[row[p] for p in e.query_paths()] for e in episodes])   # (E, k·q)
+    labels = episodes[0].query_labels()
+    chunk = max(1, SCORE_CHUNK_BYTES // (k * q * k * table.shape[1] * 8))
+    accuracies = np.empty(len(episodes))
+    for s in range(0, len(episodes), chunk):
+        protos = table[support[s:s + chunk]].mean(axis=2)                     # (e, k, d)
+        diff = table[query[s:s + chunk]][:, :, None] - protos[:, None]        # (e, k·q, k, d)
+        distances = np.einsum("eqkd,eqkd->eqk", diff, diff)
+        accuracies[s:s + chunk] = np.mean(np.argmax(-distances, axis=2) == labels, axis=1)
+    return accuracies
 
 
 def evaluate_embeddings(embeddings: Mapping[str, np.ndarray],
                         episodes: Sequence[Episode]) -> EvalReport:
     """Mean episode accuracy with a 95% CI against a fixed embedding table."""
-    accs = np.array([score_episode(embeddings, e) for e in episodes])
+    accs = score_episode(embeddings, episodes)
     mean = float(accs.mean())
     se = float(accs.std(ddof=0) / math.sqrt(len(accs)))
     return EvalReport(mean, se, mean - 1.96 * se, mean + 1.96 * se, len(accs))
@@ -167,7 +190,7 @@ def evaluate_embeddings(embeddings: Mapping[str, np.ndarray],
 def evaluate_episodes(encoder: Encoder, cache: InputCache,
                       episodes: Sequence[Episode]) -> EvalReport:
     """The one evaluation path of validation and test: embeds, with frozen
-    parameters, only the clips the episodes touch, then scores each episode."""
+    parameters, only the clips the episodes touch, then scores the episodes."""
     paths = [p for e in episodes for p in e.support_paths() + e.query_paths()]
     return evaluate_embeddings(embed_table(encoder, cache, paths), episodes)
 

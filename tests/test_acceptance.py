@@ -97,6 +97,9 @@ def op_instances(rng):
             ("conv2d",
              lambda x, w, b, s=stride2: dc.conv2d(x, w, b, stride=s, padding=1),
              [u(2, dims(4, 6), dims(4, 6), 2), u(3, 3, 2, 3), u(3)]),
+            ("conv2d",                                   # single channel: one im2col GEMM
+             lambda x, w, b, s=stride2: dc.conv2d(x, w, b, stride=s, padding=1),
+             [u(2, dims(4, 6), dims(4, 6), 1), u(3, 3, 1, 2), u(2)]),
             ("max_pool1d", lambda x: dc.max_pool1d(x, 2), [spread((2, dims(6, 9), 2))]),
             ("max_pool2d", lambda x: dc.max_pool2d(x, 2), [spread((2, 4, 2 * dims(2, 4), 2))]),
             ("sinc_kernel",

@@ -167,7 +167,8 @@ def test_non_grad_leaves_absent_from_map():
 @pytest.mark.parametrize("op,x_shape,w_shape", [
     (lambda x, w, b: dc.conv1d(x, w, b, stride=2, padding=1), (2, 11, 3), (5, 3, 4)),
     (lambda x, w, b: dc.conv2d(x, w, b, padding=1), (2, 4, 6, 3), (3, 3, 3, 4)),
-], ids=["conv1d", "conv2d"])
+    (lambda x, w, b: dc.conv2d(x, w, b, padding=1), (2, 4, 6, 1), (3, 3, 1, 4)),
+], ids=["conv1d", "conv2d", "conv2d_single_channel"])
 def test_conv_frozen_input_skips_input_gradient(op, x_shape, w_shape):
     """A conv input that needs no gradient gets none, and its backward does
     not compute one; the weight and bias gradients are unchanged."""
@@ -188,6 +189,82 @@ def test_conv_frozen_input_skips_input_gradient(op, x_shape, w_shape):
     assert node.backward_fn(np.ones(out.shape))[0] is None
     for got, want in zip(grads[True], grads[False]):
         np.testing.assert_array_equal(got, want)
+
+
+# -- equivalence with the kernels the strided ones replaced ----------------------
+
+
+def shifted_gemm_conv2d(x, w, b, stride, padding):
+    """conv2d's forward as a sum of KH·KW shifted GEMMs, for every C."""
+    B, H, W, C = x.shape
+    KH, KW, _, O = w.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    Ho = (H + 2 * padding - KH) // stride + 1
+    Wo = (W + 2 * padding - KW) // stride + 1
+    acc = np.zeros((B * Ho * Wo, O), dtype=x.dtype)
+    for kh in range(KH):
+        for kw in range(KW):
+            xs = xp[:, kh:kh + stride * Ho:stride, kw:kw + stride * Wo:stride, :]
+            acc += np.ascontiguousarray(xs).reshape(-1, C) @ w[kh, kw]
+    return (acc + b).reshape(B, Ho, Wo, O)
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
+def test_single_channel_conv2d_matches_shifted_gemms(stride, padding):
+    rng = np.random.default_rng(stride)
+    x = rng.standard_normal((3, 24, 16, 1)).astype(np.float32)
+    w = (0.3 * rng.standard_normal((3, 3, 1, 8))).astype(np.float32)
+    b = rng.standard_normal(8).astype(np.float32)
+    got = dc.conv2d(dc.Tensor(x), dc.Tensor(w), dc.Tensor(b), stride=stride, padding=padding).data
+    want = shifted_gemm_conv2d(x, w, b, stride, padding)
+    assert got.shape == want.shape and got.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+
+def argmax_max_pool1d(x, g, k):
+    """max_pool1d by argmax over a (B, L2, k, C) reshape; g goes to the argmax."""
+    B, L, C = x.shape
+    L2 = L // k
+    v = x[:, :L2 * k].reshape(B, L2, k, C)
+    z = np.zeros_like(v)
+    np.put_along_axis(z, v.argmax(axis=2)[:, :, None, :], g[:, :, None, :], axis=2)
+    dx = np.zeros_like(x)
+    dx[:, :L2 * k] = z.reshape(B, L2 * k, C)
+    return v.max(axis=2), dx
+
+
+def argmax_max_pool2d(x, g, k):
+    """max_pool2d by argmax over the k·k window entries; g goes to the argmax."""
+    B, H, W, C = x.shape
+    H2, W2 = H // k, W // k
+    v = x.reshape(B, H2, k, W2, k, C)
+    vt = np.ascontiguousarray(v.transpose(0, 1, 3, 5, 2, 4)).reshape(B, H2, W2, C, k * k)
+    z = np.zeros_like(vt)
+    np.put_along_axis(z, vt.argmax(axis=-1)[..., None], g[..., None], axis=-1)
+    dx = z.reshape(B, H2, W2, C, k, k).transpose(0, 1, 4, 2, 5, 3).reshape(B, H, W, C)
+    return v.max(axis=(2, 4)), dx
+
+
+@pytest.mark.parametrize("op,reference,shape,k", [
+    (dc.max_pool1d, argmax_max_pool1d, (3, 199, 16), 3),
+    (dc.max_pool1d, argmax_max_pool1d, (2, 12, 4), 2),
+    (dc.max_pool2d, argmax_max_pool2d, (2, 12, 8, 4), 2),
+    (dc.max_pool2d, argmax_max_pool2d, (2, 9, 6, 3), 3),
+], ids=["pool1d-k3-remainder", "pool1d-k2", "pool2d-k2", "pool2d-k3"])
+def test_max_pool_matches_argmax_kernels(op, reference, shape, k):
+    """On ReLU outputs, where most windows tie at zero, the strided kernels
+    give the argmax kernels' outputs and gradients bit for bit."""
+    rng = np.random.default_rng(len(shape) + k)
+    x = np.maximum(rng.standard_normal(shape) - 0.5, 0).astype(np.float32)
+    x.reshape(-1)[::7] = 1.5                 # equal maxima inside some windows too
+    with dc.Tape() as tape:
+        out = op(dc.Tensor(x, requires_grad=True), k)
+        node = tape.nodes[-1]
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    want_out, want_dx = reference(x, g, k)
+    (dx,) = node.backward_fn(g)
+    assert out.data.tobytes() == want_out.tobytes()
+    assert dx.tobytes() == want_dx.tobytes()
 
 
 # -- Adam ----------------------------------------------------------------------
@@ -271,6 +348,8 @@ def gradcheck_cases(rng):
          [u(2, 4, 6, 3), u(3, 3, 3, 4), u(4)]),
         ("conv2d_strided", lambda x, w: dc.conv2d(x, w, stride=2),
          [u(1, 7, 5, 2), u(3, 3, 2, 3)]),
+        ("conv2d_single_channel", lambda x, w, b: dc.conv2d(x, w, b, stride=2, padding=1),
+         [u(2, 5, 4, 1), u(3, 3, 1, 2), u(2)]),
         ("max_pool1d", lambda x: dc.max_pool1d(x, 2), [spread(rng, (2, 7, 3))]),
         ("max_pool2d", lambda x: dc.max_pool2d(x, 2), [spread(rng, (2, 4, 6, 3))]),
         ("sinc_kernel",

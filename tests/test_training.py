@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from protoaudio import diffcore as dc
+from protoaudio import training
 from protoaudio.audio_io import TimbreProfile, synth_clip
 from protoaudio.encoders import Encoder, EncoderSpec, build_encoder
-from protoaudio.errors import CheckpointMismatchError, ConfigError
+from protoaudio.errors import CheckpointMismatchError, ConfigError, ShapeMismatchError
 from protoaudio.training import (
     EvalReport,
     InputCache,
@@ -205,16 +206,53 @@ def test_score_episode_matches_reference_scorer():
         paths = [p for clips in split.values() for p in clips]
         if trial == 0:
             table = {p: np.full(d, 0.3) for p in paths}     # all equal: ties go to class 0
+        elif trial < 6:
+            # small integers: exact ties between some classes, not all
+            table = {p: rng.integers(0, 3, size=d).astype(np.float64) for p in paths}
         else:
             scale = 10.0 ** rng.integers(-3, 4)
             table = {p: scale * rng.normal(size=d) for p in paths}
         episodes = [sample_episode(split, n, k, q, random.Random(trial * 100 + i))
                     for i in range(20)]
-        got = [score_episode(table, e) for e in episodes]
+        got = list(score_episode(table, episodes))
         want = [reference_score_episode(table, e) for e in episodes]
         assert got == want
         if trial == 0:
             assert got == [1.0 / k] * len(episodes)
+
+
+@pytest.mark.parametrize("equal", [False, True], ids=["random", "all-equal"])
+def test_score_episode_chunks_match_reference_scorer(equal):
+    """At the desk embedding width the scorer takes several chunks; one
+    episode, and a count that leaves a partial last chunk, score as the
+    per-episode reference does, bit for bit."""
+    n, k, q, d = 5, 5, 5, 384
+    chunk = training.SCORE_CHUNK_BYTES // (k * q * k * d * 8)
+    assert 1 < chunk < 20
+    split = stub_split(8, 12)
+    rng = np.random.default_rng(8)
+    table = {p: np.full(d, 0.7) if equal else rng.normal(size=d)
+             for clips in split.values() for p in clips}
+    for count in (1, 2 * chunk + 3):
+        episodes = sample_episodes(split, tiny_cfg(n_shot=n, k_way=k, q_query=q), count, "3/eval")
+        got = list(score_episode(table, episodes))
+        assert got == [reference_score_episode(table, e) for e in episodes]
+        if equal:
+            assert got == [1.0 / k] * count
+
+
+def test_evaluate_embeddings_rejects_no_episodes():
+    split = stub_split(3, 6)
+    with pytest.raises(ConfigError):
+        evaluate_embeddings(onehot_embeddings(split), [])
+
+
+def test_evaluate_embeddings_rejects_mixed_episode_shapes():
+    split = stub_split(4, 8)
+    episodes = (eval_episodes(split, 2, 3, 2, 3, seed=0)
+                + eval_episodes(split, 3, 3, 2, 1, seed=0))
+    with pytest.raises(ShapeMismatchError):
+        evaluate_embeddings(onehot_embeddings(split), episodes)
 
 
 def test_validation_matches_reference_loop():
