@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import ConfigError, ShapeMismatchError
+from ..errors import ConfigError, ShapeMismatchError, TapeConsumedError
 from .tensor import Tensor, active_tape, as_tensor, guard_finite
 
 # Ops whose gradients the finite-difference suite must cover.
@@ -23,7 +23,7 @@ DIFFERENTIABLE_OPS = (
     "matmul", "relu", "sigmoid", "tanh", "absval", "log", "clip",
     "sum_all", "mean_pool", "segment_mean", "concat", "reshape", "transpose",
     "slice_rows", "pad_rows", "softmax", "squared_euclidean", "cross_entropy",
-    "conv1d", "conv2d", "max_pool1d", "max_pool2d", "sinc_kernel",
+    "conv1d", "conv2d", "max_pool1d", "max_pool2d", "sinc_kernel", "lstm_sequence",
 )
 
 
@@ -113,9 +113,19 @@ def relu(a) -> Tensor:
     return _finish("relu", (a,), out, bwd)
 
 
+def _sigmoid_(z: np.ndarray) -> None:
+    """In-place logistic sigmoid, clipped at ±60."""
+    np.clip(z, -60.0, 60.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-np.clip(a.data, -60.0, 60.0)))
+    out = a.data.copy()
+    _sigmoid_(out)
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -290,9 +300,111 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatchError(f"matmul: shapes {a.data.shape} vs {b.data.shape}")
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        da = g @ b.data.T if a.requires_grad else None
+        db = a.data.T @ g if b.requires_grad else None
+        return da, db
 
     return _finish("matmul", (a, b), a.data @ b.data, bwd)
+
+
+# -- recurrence ------------------------------------------------------------------
+
+def lstm_sequence(x_proj, wh, lengths: Sequence[int]) -> Tensor:
+    """LSTM hidden states of consecutive clips of `lengths` rows each.
+
+    x_proj (N, 4H) holds every frame's gate pre-activations without the
+    recurrent term, gates in the order i, f, g, o; wh (H, 4H) is the
+    recurrent weight. Returns the hidden states (N, H) in x_proj's row order,
+    each clip starting from h = c = 0.
+
+    The rows are scattered once into a time-major (T, B, 4H) buffer with the
+    clips longest first, so the n_t clips still running at step t are its
+    first n_t rows: each step is one (n_t, H) @ (H, 4H) GEMM, as with packed
+    sequences. The gate activations overwrite the buffer in place, and c,
+    tanh(c) and h are kept per step. The backward is analytic BPTT; it
+    overwrites the buffer with the gate gradients, so it runs once. Rows of
+    finished clips stay zero, so d wh is one (T·B, H)ᵀ @ (T·B, 4H) GEMM.
+    """
+    x_proj, wh = as_tensor(x_proj), as_tensor(wh)
+    lens = np.asarray(lengths, dtype=np.int64)
+    if wh.ndim != 2 or wh.data.shape[1] != 4 * wh.data.shape[0]:
+        raise ShapeMismatchError(f"lstm_sequence: wh {wh.data.shape} is not (H, 4H)")
+    H = wh.data.shape[0]
+    if x_proj.ndim != 2 or x_proj.data.shape[1] != 4 * H:
+        raise ShapeMismatchError(
+            f"lstm_sequence: x_proj {x_proj.data.shape} vs (N, {4 * H}) for wh {wh.data.shape}"
+        )
+    if lens.ndim != 1 or lens.size == 0 or np.any(lens < 1) or lens.sum() != x_proj.data.shape[0]:
+        raise ShapeMismatchError(
+            f"lstm_sequence: lengths {list(lengths)} do not tile {x_proj.data.shape[0]} rows"
+        )
+    B, T = lens.size, int(lens.max())
+    slot = np.empty(B, dtype=np.int64)                         # clips longest first
+    slot[np.argsort(-lens, kind="stable")] = np.arange(B)
+    running = (lens[None, :] > np.arange(T)[:, None]).sum(axis=1)     # n_t
+    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    # flat (t, slot) buffer row of every input row
+    rows = (np.arange(x_proj.data.shape[0]) - np.repeat(starts, lens)) * B + np.repeat(slot, lens)
+    dtype = np.result_type(x_proj.dtype, wh.dtype)
+    gates = np.zeros((T, B, 4 * H), dtype=dtype)
+    gates.reshape(T * B, 4 * H)[rows] = x_proj.data
+    # h[t + 1] and c[t + 1] are the state after step t; h[0] = c[0] = 0
+    h = np.zeros((T + 1, B, H), dtype=dtype)
+    c = np.zeros((T + 1, B, H), dtype=dtype)
+    tc = np.zeros((T, B, H), dtype=dtype)
+    for t in range(T):
+        n = running[t]
+        z = gates[t, :n]
+        if t:
+            z += h[t, :n] @ wh.data
+        i, f, g, o = (z[:, k * H:(k + 1) * H] for k in range(4))
+        _sigmoid_(z[:, :2 * H])
+        np.tanh(g, out=g)
+        _sigmoid_(o)
+        np.multiply(i, g, out=c[t + 1, :n])
+        c[t + 1, :n] += f * c[t, :n]
+        np.tanh(c[t + 1, :n], out=tc[t, :n])
+        np.multiply(o, tc[t, :n], out=h[t + 1, :n])
+    out = h[1:].reshape(T * B, H)[rows]
+
+    def bwd(gout):
+        nonlocal gates
+        if gates is None:
+            raise TapeConsumedError("lstm_sequence: backward already ran through its buffers")
+        dz_all, gates = gates, None     # step t's gate gradients overwrite its activations
+        dh_in = np.zeros((T, B, H), dtype=dtype)
+        dh_in.reshape(T * B, H)[rows] = gout
+        dh_rec = dc_rec = np.zeros((0, H), dtype=dtype)   # from step t + 1 into step t
+        for t in range(T - 1, -1, -1):
+            n, m = running[t], dh_rec.shape[0]
+            z, tct = dz_all[t, :n], tc[t, :n]
+            i, f, g, o = (z[:, k * H:(k + 1) * H] for k in range(4))
+            dh = dh_in[t, :n]
+            dh[:m] += dh_rec
+            dc = dh * o
+            dc *= 1.0 - tct * tct
+            dc[:m] += dc_rec
+            dz = np.empty_like(z)
+            np.multiply(dc, g, out=dz[:, :H])
+            np.multiply(dc, c[t, :n], out=dz[:, H:2 * H])
+            np.multiply(dc, i, out=dz[:, 2 * H:3 * H])
+            np.multiply(dh, tct, out=dz[:, 3 * H:])
+            act_grad = 1.0 - z                 # sigmoid' = s(1 - s) for i, f, o
+            act_grad *= z
+            g_grad = act_grad[:, 2 * H:3 * H]  # tanh' = 1 - g² for g
+            np.multiply(g, g, out=g_grad)
+            np.subtract(1.0, g_grad, out=g_grad)
+            dc_rec = dc * f
+            np.multiply(dz, act_grad, out=z)
+            if t:
+                dh_rec = z @ wh.data.T
+        dx = dz_all.reshape(T * B, 4 * H)[rows] if x_proj.requires_grad else None
+        # d wh = Σ_t h_tᵀ dz_t, where h_t is the state step t starts from
+        dwh = (h[:-1].reshape(T * B, H).T @ dz_all.reshape(T * B, 4 * H)
+               if wh.requires_grad else None)
+        return dx, dwh
+
+    return _finish("lstm_sequence", (x_proj, wh), out, bwd)
 
 
 # -- classification head -------------------------------------------------------
@@ -352,7 +464,12 @@ def cross_entropy(logits, labels) -> Tensor:
     def bwd(g):
         d = p.copy()
         d[np.arange(q), lab] -= 1.0
-        return (d * (float(g) / q),)
+        d *= float(g) / q
+        # Once the loss nears 0, p - onehot underflows into subnormals. They
+        # are far below what an Adam step can resolve, and every conv backward
+        # they reach runs 30-100x slower; zero them here, where they are born.
+        d[np.abs(d) < np.finfo(d.dtype).tiny] = 0.0
+        return (d,)
 
     return _finish("cross_entropy", (logits,), out, bwd)
 

@@ -6,22 +6,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..diffcore import (
-    Tensor,
-    add,
-    as_tensor,
-    concat,
-    matmul,
-    mul,
-    pad_rows,
-    reshape,
-    sigmoid,
-    slice_rows,
-    tanh,
-)
+from ..diffcore import Tensor, add, as_tensor, concat, lstm_sequence, matmul, segment_mean
 from ..dsp import FrontendConfig, build_mel_filterbank, extract_features
 from ..errors import DimensionMismatchError
-from .base import N_MELS, Encoder, EncoderSpec, kaiming_uniform, scaled_uniform
+from .base import N_MELS, Encoder, EncoderSpec, batch_concat, kaiming_uniform, scaled_uniform
 
 _GATES = ("i", "f", "g", "o")
 
@@ -53,33 +41,20 @@ class LstmEncoder(Encoder):
         return extract_features(waveform, self.frontend, self._filterbank).astype(np.float32)
 
     def embed_batch(self, inputs: Sequence) -> Tensor:
-        """B clips of (T_b, n_mels) -> (B, out) in one time-major recurrence:
-        clips are zero-padded at their end to the longest, T, and step t runs
-        every clip at once. The recurrence is causal, so padding changes no
-        state inside a clip; padded steps get weight 0 in the mean."""
+        """B clips of (T_b, n_mels) -> (B, out). The per-gate weights are
+        joined along the gate axis (order i, f, g, o), the input projection is
+        one GEMM over every real frame of the batch, and `lstm_sequence` runs
+        the recurrence of all clips at once; nothing is padded."""
         feats = [as_tensor(item) for item in inputs]
         for seq in feats:
             if seq.ndim != 2 or seq.shape[1] != N_MELS:
                 raise DimensionMismatchError(
                     f"lstm expects (T, {N_MELS}) features, got {seq.shape}"
                 )
-        lengths = [seq.shape[0] for seq in feats]
-        steps, n = max(lengths), len(feats)
-        frames = concat([pad_rows(seq, steps) for seq in feats], axis=1)   # (T, B*n_mels)
         p = self.params
-        h = c = Tensor(np.zeros((n, self.spec.dims.lstm_hidden), dtype=np.float32))
-        states = []
-        for t in range(steps):
-            x = reshape(slice_rows(frames, t, t + 1), (n, N_MELS))
-            pre = {g: add(add(matmul(x, p[f"wx_{g}"]), matmul(h, p[f"wh_{g}"])), p[f"b_{g}"])
-                   for g in _GATES}
-            i, f, o = (sigmoid(pre[g]) for g in "ifo")
-            c = add(mul(f, c), mul(i, tanh(pre["g"])))
-            h = mul(o, tanh(c))
-            states.append(h)
-        proj = add(matmul(concat(states, axis=0), p["wy"]), p["by"])   # (T*B, out)
-        # weights[b, t*B + b] = 1/len_b for t < len_b: the mean over real steps
-        weights = np.zeros((n, steps, n), dtype=proj.dtype)
-        for b, length in enumerate(lengths):
-            weights[b, :length, b] = 1.0 / length
-        return matmul(Tensor(weights.reshape(n, steps * n)), proj)
+        wx, wh = (concat([p[f"{w}_{g}"] for g in _GATES], axis=1) for w in ("wx", "wh"))
+        b = concat([p[f"b_{g}"] for g in _GATES])
+        lengths = [seq.shape[0] for seq in feats]
+        x_proj = add(matmul(batch_concat(feats), wx), b)                 # (N, 4H)
+        states = lstm_sequence(x_proj, wh, lengths)                     # (N, H)
+        return segment_mean(add(matmul(states, p["wy"]), p["by"]), lengths)

@@ -61,6 +61,10 @@ def op_instances(rng):
         stride1, pad1 = dims(1, 2), dims(0, 2)
         stride2 = dims(1, 2)
         pad_to = rows + dims(1, 3)
+        hidden = dims(1, 3)
+        # unsorted ragged clips, a one-step clip among them, and a single clip
+        lstm_lens = tuple(int(t) for t in rng.permutation([1, dims(2, 4), dims(3, 5)]))
+        single_len = dims(1, 4)
         cases += [
             ("add", dc.add, [u(r, c), u(r, c)]),
             ("add", dc.add, [u(r, c), u(c)]),          # bias broadcast
@@ -105,6 +109,12 @@ def op_instances(rng):
             ("sinc_kernel",
              lambda f1, f2: dc.sinc_kernel(f1, f2, 13, np.hamming(13)),
              [rng.uniform(0.01, 0.2, size=3), rng.uniform(0.25, 0.49, size=3)]),
+            ("lstm_sequence",
+             lambda x, wh, lens=lstm_lens: dc.lstm_sequence(x, wh, lens),
+             [u(sum(lstm_lens), 4 * hidden), u(hidden, 4 * hidden)]),
+            ("lstm_sequence",
+             lambda x, wh, lens=(single_len,): dc.lstm_sequence(x, wh, lens),
+             [u(single_len, 4 * hidden), u(hidden, 4 * hidden)]),
         ]
     return cases
 

@@ -191,6 +191,52 @@ def test_conv_frozen_input_skips_input_gradient(op, x_shape, w_shape):
         np.testing.assert_array_equal(got, want)
 
 
+def test_matmul_frozen_input_skips_its_gradient():
+    """A matmul operand that needs no gradient gets none, and the backward
+    does not compute one; the other operand's gradient is unchanged."""
+    rng = np.random.default_rng(12)
+    a_data, w = rng.standard_normal((5, 4)), t64(rng.standard_normal((4, 3)))
+    grads = {}
+    for frozen in (False, True):
+        a = t64(a_data, grad=not frozen)
+        with dc.Tape() as tape:
+            out = dc.matmul(a, w)
+            node = tape.nodes[-1]
+            weights = dc.Tensor(np.cos(np.arange(out.size)).reshape(out.shape))
+            gmap = dc.backward(dc.sum_all(dc.mul(out, weights)))
+        grads[frozen] = gmap[w].data
+        assert (a in gmap) is not frozen
+    assert node.backward_fn(np.ones(out.shape))[0] is None
+    np.testing.assert_array_equal(grads[True], grads[False])
+
+
+@pytest.mark.parametrize("x_shape,wh_shape,lengths", [
+    ((6, 8), (2, 8), [2, 3]),            # rows not tiled
+    ((5, 8), (2, 8), [5, 0]),            # empty clip
+    ((5, 8), (2, 8), [6, -1]),           # negative length
+    ((5, 8), (2, 8), []),                # no clips
+    ((5, 6), (2, 8), [5]),               # x_proj not (N, 4H)
+    ((5, 8), (2, 6), [5]),               # wh not (H, 4H)
+    ((5, 8, 1), (2, 8), [5]),            # x_proj not 2-D
+])
+def test_lstm_sequence_rejects_bad_shapes(x_shape, wh_shape, lengths):
+    with pytest.raises(ShapeMismatchError):
+        dc.lstm_sequence(np.zeros(x_shape), np.zeros(wh_shape), lengths)
+
+
+def test_lstm_sequence_backward_runs_once():
+    """The backward overwrites the forward's gate buffer, so a second call
+    raises rather than returning wrong gradients."""
+    rng = np.random.default_rng(14)
+    with dc.Tape() as tape:
+        out = dc.lstm_sequence(t64(rng.standard_normal((5, 8))), t64(rng.standard_normal((2, 8))),
+                               [3, 2])
+    node = tape.nodes[-1]
+    node.backward_fn(np.ones(out.shape))
+    with pytest.raises(TapeConsumedError):
+        node.backward_fn(np.ones(out.shape))
+
+
 # -- equivalence with the kernels the strided ones replaced ----------------------
 
 
@@ -355,6 +401,8 @@ def gradcheck_cases(rng):
         ("sinc_kernel",
          lambda f1, f2: dc.sinc_kernel(f1, f2, 15, np.hamming(15)),
          [rng.uniform(0.02, 0.2, size=4), rng.uniform(0.25, 0.45, size=4)]),
+        ("lstm_sequence", lambda x, wh: dc.lstm_sequence(x, wh, [2, 4, 1]),
+         [u(7, 12), u(3, 12)]),
     ]
     return cases
 

@@ -15,7 +15,7 @@ from protoaudio.encoders import (
     sinc_init_mel,
     window_count,
 )
-from protoaudio.errors import ConfigError, KernelTooLongError
+from protoaudio.errors import ConfigError, KernelTooLongError, ShapeMismatchError
 from protoaudio.protonet import episode_loss
 
 FRONTEND = FrontendConfig()
@@ -161,7 +161,73 @@ def test_lstm_desk_forward_tape_size():
     lengths = [118] + list(rng.integers(49, 119, size=49))
     with dc.Tape() as tape:
         enc.embed_batch([rand_feats(rng, t) for t in lengths])
-    assert len(tape) < 3000
+    assert len(tape) < 20
+
+
+def unrolled_lstm(enc, inputs):
+    """The padded, per-gate `embed_batch` that `lstm_sequence` replaced: clips
+    zero-padded to the longest, one step of four gate GEMM pairs per frame,
+    and the mean over real steps as a dense (B, T·B) matrix."""
+    feats = [dc.as_tensor(item) for item in inputs]
+    lengths = [seq.shape[0] for seq in feats]
+    steps, n = max(lengths), len(feats)
+    frames = dc.concat([dc.pad_rows(seq, steps) for seq in feats], axis=1)
+    p = enc.params
+    h = c = dc.Tensor(np.zeros((n, enc.spec.dims.lstm_hidden), dtype=p["wy"].dtype))
+    states = []
+    for t in range(steps):
+        x = dc.reshape(dc.slice_rows(frames, t, t + 1), (n, 64))
+        pre = {g: dc.add(dc.add(dc.matmul(x, p[f"wx_{g}"]), dc.matmul(h, p[f"wh_{g}"])),
+                         p[f"b_{g}"])
+               for g in "ifgo"}
+        i, f, o = (dc.sigmoid(pre[g]) for g in "ifo")
+        c = dc.add(dc.mul(f, c), dc.mul(i, dc.tanh(pre["g"])))
+        h = dc.mul(o, dc.tanh(c))
+        states.append(h)
+    proj = dc.add(dc.matmul(dc.concat(states, axis=0), p["wy"]), p["by"])
+    weights = np.zeros((n, steps, n), dtype=proj.dtype)
+    for b, length in enumerate(lengths):
+        weights[b, :length, b] = 1.0 / length
+    return dc.matmul(dc.Tensor(weights.reshape(n, steps * n)), proj)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "sincnet+lstm"])
+def test_lstm_sequence_matches_unrolled_encoder(kind):
+    """Embeddings and every parameter gradient of a fixed loss equal those of
+    the unrolled encoder, in float64, on a ragged batch of 1, 37, 96 and 118
+    steps given out of length order."""
+    enc = make(kind, seed=3)
+    for p in enc.params.values():
+        p.data = p.data.astype(np.float64)
+    rng = np.random.default_rng(13)
+    steps = (37, 1, 118, 96)
+    if kind == "lstm":
+        inputs = [rand_feats(rng, t) for t in steps]
+        reference = lambda items: unrolled_lstm(enc, items)
+    else:   # 251-tap kernel at stride 80, then a 2x pool: 2t conv outputs
+        inputs = [rng.uniform(-0.5, 0.5, size=251 + 80 * (2 * t - 1)) for t in steps]
+        reference = lambda items: unrolled_lstm(enc.head, enc.sinc.feature_maps(items))
+    weights = dc.Tensor(rng.standard_normal((len(inputs), enc.embed_dim)))
+    results = []
+    for embed in (enc.embed_batch, reference):
+        with dc.Tape():
+            emb = embed(inputs)
+            gmap = dc.backward(dc.sum_all(dc.mul(emb, weights)))
+        results.append((emb.data, {n: gmap[p].data for n, p in enc.params.items()}))
+    (emb, grads), (ref_emb, ref_grads) = results
+    if kind == "sincnet+lstm":
+        assert [m.shape[0] for m in enc.sinc.feature_maps(inputs)] == list(steps)
+    np.testing.assert_allclose(emb, ref_emb, rtol=0, atol=1e-12 * np.abs(ref_emb).max())
+    assert sorted(grads) == sorted(enc.params)
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["vgg", "lstm", "sincnet", "sincnet+vgg", "sincnet+lstm"])
+def test_empty_batch_raises_shape_mismatch(kind):
+    with pytest.raises(ShapeMismatchError):
+        make(kind).embed_batch([])
 
 
 def test_lstm_is_order_sensitive():
@@ -436,6 +502,36 @@ def test_forward_backward_finite_checked(kind):
             gmap = dc.backward(loss)
     assert np.isfinite(loss.item())
     assert gmap  # at least one parameter received a finite gradient
+
+
+def test_converged_vgg_step_has_no_subnormal_gradients():
+    """A desk `vgg` episode at a loss of 0 in float32 leaves no subnormal in any
+    parameter gradient. With zero biases the encoder is positively homogeneous,
+    so scaling the inputs by a scales every logit gap by a²; a is chosen so the
+    closest wrong class gets probability ~e^-95, a float32 subnormal."""
+    enc = make("vgg")
+    rng = np.random.default_rng(4)
+    support = [rng.uniform(-1, 0, size=(96, 64)).astype(np.float32) for _ in range(3)]
+    queries = [x + rng.normal(scale=0.05, size=x.shape).astype(np.float32) for x in support]
+    k = len(support)
+
+    def step(scale):
+        with dc.Tape():
+            embs = enc.embed_batch([x * np.float32(scale) for x in support + queries])
+            protos = dc.reshape(dc.slice_rows(embs, 0, k), (k, 1, enc.embed_dim))
+            loss, _ = episode_loss(protos, dc.slice_rows(embs, k, 2 * k), np.arange(k))
+            gmap = dc.backward(loss)
+        return loss.item(), embs.data.astype(np.float64), gmap
+
+    _, embs, _ = step(1.0)
+    dist = ((embs[k:, None] - embs[None, :k]) ** 2).sum(axis=-1)
+    gaps = dist - np.diag(dist)[:, None] + np.diag(np.full(k, np.inf))
+    loss, _, gmap = step(np.sqrt(95.0 / gaps.min()))
+    assert loss < 1e-30
+    assert gmap
+    tiny = np.finfo(np.float32).tiny
+    for p, g in gmap.items():
+        assert not np.any((g.data != 0) & (np.abs(g.data) < tiny))
 
 
 def test_state_dict_round_trip():
