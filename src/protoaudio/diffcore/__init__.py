@@ -13,6 +13,7 @@ from .ops import (
     conv1d,
     conv2d,
     cross_entropy,
+    gather_rows,
     log,
     lstm_sequence,
     matmul,
@@ -44,7 +45,7 @@ __all__ = [
     "DIFFERENTIABLE_OPS",
     "Tape", "Tensor", "as_tensor", "backward", "checked_mode", "parameter",
     "absval", "add", "add_scalar", "clip", "concat", "conv1d", "conv2d",
-    "cross_entropy", "log", "lstm_sequence", "matmul", "max_pool1d", "max_pool2d",
+    "cross_entropy", "gather_rows", "log", "lstm_sequence", "matmul", "max_pool1d", "max_pool2d",
     "mean_pool", "mul", "mul_scalar", "neg", "pad_rows", "relu", "reshape",
     "segment_mean", "sigmoid", "sinc_kernel", "slice_rows", "softmax",
     "squared_euclidean", "sub", "sum_all", "tanh", "transpose",

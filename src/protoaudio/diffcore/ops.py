@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigError, ShapeMismatchError, TapeConsumedError
 from .tensor import Tensor, active_tape, as_tensor, guard_finite
@@ -22,7 +21,7 @@ DIFFERENTIABLE_OPS = (
     "add", "sub", "mul", "add_scalar", "mul_scalar", "neg",
     "matmul", "relu", "sigmoid", "tanh", "absval", "log", "clip",
     "sum_all", "mean_pool", "segment_mean", "concat", "reshape", "transpose",
-    "slice_rows", "pad_rows", "softmax", "squared_euclidean", "cross_entropy",
+    "slice_rows", "pad_rows", "gather_rows", "softmax", "squared_euclidean", "cross_entropy",
     "conv1d", "conv2d", "max_pool1d", "max_pool2d", "sinc_kernel", "lstm_sequence",
 )
 
@@ -292,6 +291,32 @@ def pad_rows(a, target_rows: int) -> Tensor:
     return _finish("pad_rows", (a,), out, bwd)
 
 
+def gather_rows(a, index) -> Tensor:
+    """Rows a[index[i]] along the first axis, where index -1 gives a zero row.
+
+    No row of a may be taken twice, so the backward is one scatter of the
+    gradient rows back to where they came from.
+    """
+    a = as_tensor(a)
+    idx = np.asarray(index, dtype=np.int64)
+    rows = a.data.shape[0]
+    if idx.ndim != 1 or np.any(idx < -1) or np.any(idx >= rows):
+        raise ShapeMismatchError(f"gather_rows: index outside [-1, {rows}) or not 1-D")
+    dest = np.flatnonzero(idx >= 0)
+    src = idx[dest]
+    if np.bincount(src, minlength=1).max() > 1:
+        raise ShapeMismatchError("gather_rows: a row is taken more than once")
+    out = np.zeros((idx.size,) + a.data.shape[1:], dtype=a.dtype)
+    out[dest] = a.data[src]
+
+    def bwd(g):
+        da = np.zeros_like(a.data)
+        da[src] = g[dest]
+        return (da,)
+
+    return _finish("gather_rows", (a,), out, bwd)
+
+
 # -- linear algebra ------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
@@ -477,7 +502,15 @@ def cross_entropy(logits, labels) -> Tensor:
 # -- convolution & pooling -----------------------------------------------------
 
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D convolution: x (B, L, C), w (K, C, O) -> (B, Lo, O)."""
+    """1-D convolution: x (B, L, C), w (K, C, O) -> (B, Lo, O).
+
+    One code path for every stride. The zero-padded input is folded into
+    frames of `stride` samples, (B, F, stride·C), and the kernel, zero-padded
+    to J = ceil(K / stride) frames, into (J, stride·C, O). Output row t reads
+    frames t .. t + J - 1, so the forward is J GEMMs over contiguous frame
+    slices, summed, and the backward runs the same slices. The op keeps only
+    the padded input for its backward; no im2col matrix is built.
+    """
     x, w = as_tensor(x), as_tensor(w)
     bias = as_tensor(b) if b is not None else None
     if x.ndim != 3 or w.ndim != 3 or x.data.shape[2] != w.data.shape[1]:
@@ -490,25 +523,36 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     if Lp < K:
         raise ShapeMismatchError(f"conv1d: padded length {Lp} < kernel {K}")
     Lo = (Lp - K) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
-    win = sliding_window_view(xp, K, axis=1)[:, ::stride]      # (B, Lo, C, K)
-    col = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(B * Lo, K * C)
-    wflat = w.data.reshape(K * C, O)
-    out = col @ wflat
+    J = -(-K // stride)
+    F = max(Lo + J - 1, -(-(padding + L) // stride))
+    xp = np.zeros((B, F * stride, C), dtype=x.dtype)
+    xp[:, padding:padding + L] = x.data
+    frames = xp.reshape(B, F, stride * C)
+    wf = np.zeros((J * stride, C, O), dtype=w.dtype)
+    wf[:K] = w.data
+    wf = wf.reshape(J, stride * C, O)
+
+    def frame_slice(j):
+        """Frames j .. j + Lo - 1 of every clip as (B·Lo, stride·C); a view when B = 1."""
+        return frames[:, j:j + Lo].reshape(B * Lo, stride * C)
+
+    out = frame_slice(0) @ wf[0]
+    for j in range(1, J):
+        out += frame_slice(j) @ wf[j]
     if bias is not None:
-        out = out + bias.data
+        out += bias.data
     out = out.reshape(B, Lo, O)
 
     def bwd(g):
         gflat = g.reshape(B * Lo, O)
-        dw = (col.T @ gflat).reshape(K, C, O)
+        dw = np.concatenate([frame_slice(j).T @ gflat for j in range(J)])
+        dw = dw.reshape(J * stride, C, O)[:K]
         dx = None
         if x.requires_grad:
-            dcol = (gflat @ wflat.T).reshape(B, Lo, K, C)
-            dxp = np.zeros((B, Lp, C), dtype=x.dtype)
-            for k in range(K):
-                dxp[:, k:k + stride * Lo:stride] += dcol[:, :, k]
-            dx = dxp[:, padding:padding + L] if padding else dxp
+            dframes = np.zeros((B, F, stride * C), dtype=x.dtype)
+            for j in range(J):
+                dframes[:, j:j + Lo] += (gflat @ wf[j].T).reshape(B, Lo, stride * C)
+            dx = dframes.reshape(B, F * stride, C)[:, padding:padding + L]
         if bias is None:
             return dx, dw
         return dx, dw, gflat.sum(axis=0)
@@ -585,22 +629,31 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     return _finish("conv2d", inputs, out, bwd)
 
 
-def _max_pool(op_name: str, x: Tensor, windows: list) -> Tensor:
-    """Elementwise max of the strided views x[w] for w in windows. The
-    backward sends each output's gradient to the first view, in window order,
-    that holds its max: argmax's tie rule."""
+def _max_pool(op_name: str, x: Tensor, windows: list, remainder=None) -> Tensor:
+    """Elementwise max of the strided views x[w] for w in windows, which tile
+    x apart from the slice `remainder`. The backward sends each output's
+    gradient to the first view, in window order, that holds its max: argmax's
+    tie rule. It places the still-unplaced gradient times the window's hit
+    mask, then takes what it placed out of the unplaced part; adding +0.0
+    turns the -0.0 of negative gradients times a miss into 0.0."""
     views = [x.data[w] for w in windows]
     out = views[0].copy()
     for view in views[1:]:
         np.maximum(out, view, out=out)
 
     def bwd(g):
-        dx = np.zeros_like(x.data)
-        taken = np.zeros(out.shape, dtype=bool)
-        for w, view in zip(windows, views):
-            hit = (view == out) & ~taken
-            dx[w] = np.where(hit, g, 0)
-            taken |= hit
+        dx = np.empty_like(x.data)
+        if remainder is not None:
+            dx[remainder] = 0
+        unplaced = np.array(g, dtype=x.dtype)
+        hit = np.empty(out.shape, dtype=bool)
+        placed = np.empty_like(unplaced)
+        for i, (w, view) in enumerate(zip(windows, views)):
+            np.equal(view, out, out=hit)
+            np.multiply(unplaced, hit, out=placed)
+            np.add(placed, 0.0, out=dx[w])
+            if i + 1 < len(windows):
+                unplaced -= placed
         return (dx,)
 
     return _finish(op_name, (x,), out, bwd)
@@ -615,7 +668,8 @@ def max_pool1d(x, k: int = 2) -> Tensor:
     L2 = x.data.shape[1] // k
     if L2 < 1:
         raise ShapeMismatchError(f"max_pool1d: length {x.data.shape[1]} < pool {k}")
-    return _max_pool("max_pool1d", x, [np.s_[:, i:L2 * k:k] for i in range(k)])
+    return _max_pool("max_pool1d", x, [np.s_[:, i:L2 * k:k] for i in range(k)],
+                     remainder=np.s_[:, L2 * k:])
 
 
 def max_pool2d(x, k: int = 2) -> Tensor:

@@ -5,9 +5,9 @@ tape active, or when no input carries gradient, ops run forward-only; frozen
 parameters are shareable for concurrent inference while a training step owns
 its tape exclusively. The tape stack and checked mode are per thread.
 
-backward() consumes the tape: once its sweep is done it releases the recorded
-nodes, and with them the activations they hold, so a step's memory is freed
-as soon as its tensors go out of scope rather than by the cyclic garbage
+backward() consumes the tape: its sweep releases each recorded node, and with
+it the activations the node holds, as soon as it has passed the node, so a
+step's memory is freed during the sweep rather than by the cyclic garbage
 collector. A second backward() through the same tape raises TapeConsumedError.
 """
 
@@ -143,7 +143,7 @@ def backward(loss: Tensor) -> dict:
 
     Returns {leaf Tensor: gradient Tensor} for every requires_grad leaf the
     loss depends on, and sets each leaf's .grad. Gradients sum across fan-out.
-    Consumes the loss's tape: its nodes are released when the sweep ends.
+    Consumes the loss's tape: each node is released once the sweep passes it.
     """
     if loss.size != 1:
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.shape}")
@@ -158,7 +158,10 @@ def backward(loss: Tensor) -> dict:
     nodes, tape.nodes = tape.nodes, []
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
-    for node in reversed(nodes):
+    while nodes:
+        # Popping frees each node, and the arrays its backward_fn captured,
+        # as soon as the sweep has passed it.
+        node = nodes.pop()
         g = grads.pop(id(node.output), None)
         if g is None:
             continue

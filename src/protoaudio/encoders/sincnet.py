@@ -23,17 +23,24 @@ from ..diffcore import (
     add_scalar,
     clip,
     conv1d,
+    gather_rows,
     log,
     max_pool1d,
     relu,
     reshape,
     segment_mean,
     sinc_kernel,
+    slice_rows,
     transpose,
 )
 from ..dsp import FrontendConfig, mel_inverse, mel_scale
-from ..errors import ConfigError, DimensionMismatchError, KernelTooLongError
-from .base import N_MELS, Encoder, EncoderSpec, batch_concat, kaiming_uniform, raw_samples
+from ..errors import (
+    ConfigError,
+    DimensionMismatchError,
+    KernelTooLongError,
+    ShapeMismatchError,
+)
+from .base import N_MELS, Encoder, EncoderSpec, kaiming_uniform, raw_samples
 from .lstm import LstmEncoder
 from .vgg import VggEncoder
 
@@ -136,31 +143,64 @@ class SincNetEncoder(Encoder):
                   0.0, 0.5)
         return f1, f2
 
-    def feature_maps(self, inputs: Sequence) -> list:
-        """(N_b,) waveforms -> time-major (T'_b, channels) maps. The band-pass
-        kernels are built once per call; the conv stack runs per clip."""
-        f1, f2 = self._cutoffs()
-        kernels = sinc_kernel(f1, f2, self.kernel_len, self._window)   # (F, L)
-        w = reshape(transpose(kernels), (self.kernel_len, 1, self.n_filters))
-        p = self.params
-        maps = []
-        for samples in inputs:
-            x = np.asarray(samples, dtype=np.float32)
-            n = x.shape[0]
-            if n < self.kernel_len:
+    def _packed_maps(self, inputs: Sequence):
+        """(N_b,) waveforms -> their time-major maps packed as one (Σ T'_b,
+        channels) Tensor, and the T'_b, in one pass over the whole batch.
+
+        The waveforms lie end to end in one buffer, each starting at a
+        multiple of 2·stride, so a clip's conv frames are the ones of its own
+        conv and the pool's pairs never straddle two clips. For the conv stack
+        the clips' pooled rows are laid out with `pad` zero rows between
+        clips, re-zeroed between the two convs and finally cut out; one
+        gather_rows (index -1 is a zero row) does each of the three.
+        """
+        K, stride, pad = self.kernel_len, self.stride, self._pad
+        waves = [np.asarray(samples, dtype=np.float32) for samples in inputs]
+        if not waves:
+            raise ShapeMismatchError("sincnet: empty batch")
+        for i, x in enumerate(waves):
+            if x.shape[0] < K + stride:
                 raise KernelTooLongError(
-                    f"waveform of {n} samples shorter than kernel {self.kernel_len}"
+                    f"waveform {i} has {x.shape[0]} samples; one pooled frame of the "
+                    f"{K}-tap kernel at stride {stride} needs {K + stride}"
                 )
-            h = conv1d(Tensor(x.reshape(1, n, 1)), w, stride=self.stride)
-            h = max_pool1d(log(add_scalar(absval(h), LOG_EPS)), 2)
-            h = relu(conv1d(h, p["conv1_w"], p["conv1_b"], padding=self._pad))
-            h = relu(conv1d(h, p["conv2_w"], p["conv2_b"], padding=self._pad))
-            maps.append(reshape(h, h.shape[1:]))
-        return maps
+        hop = 2 * stride                                     # samples per pooled frame
+        lengths = np.array([x.shape[0] for x in waves])
+        frames = ((lengths - K) // stride + 1) // 2          # T'_b
+        starts = np.concatenate([[0], np.cumsum(-(-lengths // hop) * hop)[:-1]])
+        wave = np.zeros(starts[-1] + lengths[-1], dtype=np.float32)
+        for x, start in zip(waves, starts):
+            wave[start:start + x.shape[0]] = x
+
+        f1, f2 = self._cutoffs()
+        kernels = sinc_kernel(f1, f2, K, self._window)                   # (F, K)
+        w = reshape(transpose(kernels), (K, 1, self.n_filters))
+        h = conv1d(Tensor(wave.reshape(1, -1, 1)), w, stride=stride)
+        h = max_pool1d(log(add_scalar(absval(h), LOG_EPS)), 2)
+
+        within = np.arange(frames.sum()) - np.repeat(np.cumsum(frames) - frames, frames)
+        src = np.repeat(starts // hop, frames) + within      # clip rows in the pooled map
+        rows = np.repeat(np.cumsum(frames + pad) - frames - pad, frames) + within
+        layout = np.full(frames.sum() + pad * (len(waves) - 1), -1)
+        layout[rows] = src
+        keep = np.full(layout.size, -1)
+        keep[rows] = rows
+        p = self.params
+        for i, index in ((1, layout), (2, keep)):
+            h = reshape(gather_rows(reshape(h, h.shape[1:]), index), (1, index.size, h.shape[2]))
+            h = relu(conv1d(h, p[f"conv{i}_w"], p[f"conv{i}_b"], padding=pad))
+        return gather_rows(reshape(h, h.shape[1:]), rows), frames.tolist()
+
+    def feature_maps(self, inputs: Sequence) -> list:
+        """(N_b,) waveforms -> time-major (T'_b, channels) maps, cut from one
+        pass over the whole batch."""
+        packed, frames = self._packed_maps(inputs)
+        ends = np.cumsum(frames)
+        return [slice_rows(packed, int(end - t), int(end)) for end, t in zip(ends, frames)]
 
     def embed_batch(self, inputs: Sequence) -> Tensor:
-        maps = self.feature_maps(inputs)
-        return segment_mean(batch_concat(maps), [m.shape[0] for m in maps])
+        packed, frames = self._packed_maps(inputs)
+        return segment_mean(packed, frames)
 
 
 class ComposedSincEncoder(Encoder):

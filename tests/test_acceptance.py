@@ -65,6 +65,11 @@ def op_instances(rng):
         # unsorted ragged clips, a one-step clip among them, and a single clip
         lstm_lens = tuple(int(t) for t in rng.permutation([1, dims(2, 4), dims(3, 5)]))
         single_len = dims(1, 4)
+        # a subset of the rows in random order, with zero rows (-1) among them
+        gather_index = tuple(int(i) for i in rng.permutation(
+            np.concatenate([rng.permutation(rows)[:dims(1, rows)], [-1] * dims(1, 3)])))
+        fold = dims(2, 4)                 # a kernel of K = m·stride + r taps, 0 < r < stride
+        fold_taps = fold * dims(1, 2) + dims(1, fold - 1)
         cases += [
             ("add", dc.add, [u(r, c), u(r, c)]),
             ("add", dc.add, [u(r, c), u(c)]),          # bias broadcast
@@ -91,6 +96,8 @@ def op_instances(rng):
             ("slice_rows",
              lambda a, hi=rows - 1: dc.slice_rows(a, 1, hi), [u(rows, c)]),
             ("pad_rows", lambda a, t=pad_to: dc.pad_rows(a, t), [u(rows, c)]),
+            ("gather_rows",
+             lambda a, i=gather_index: dc.gather_rows(a, i), [u(rows, c)]),
             ("softmax", dc.softmax, [u(r, c)]),
             ("squared_euclidean", dc.squared_euclidean, [u(r, c), u(dims(2, 5), c)]),
             ("cross_entropy",
@@ -98,6 +105,9 @@ def op_instances(rng):
             ("conv1d",
              lambda x, w, b, s=stride1, p=pad1: dc.conv1d(x, w, b, stride=s, padding=p),
              [u(2, dims(8, 12), 2), u(dims(3, 5), 2, 3), u(3)]),
+            ("conv1d",                                   # K not a multiple of the stride
+             lambda x, w, b, s=fold, p=pad1: dc.conv1d(x, w, b, stride=s, padding=p),
+             [u(dims(1, 2), fold_taps + dims(0, 2 * fold), 2), u(fold_taps, 2, 3), u(3)]),
             ("conv2d",
              lambda x, w, b, s=stride2: dc.conv2d(x, w, b, stride=s, padding=1),
              [u(2, dims(4, 6), dims(4, 6), 2), u(3, 3, 2, 3), u(3)]),

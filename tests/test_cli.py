@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from protoaudio.audio_io import Waveform, load_wav, write_wav
 from protoaudio.cli import main, parse_config_text
 from protoaudio.datasetkit import gen_synthetic_corpus, load_manifest
 from protoaudio.diffcore import load_archive
@@ -103,6 +104,19 @@ def test_train_missing_manifest_exits_3(tmp_path, capsys):
     rc = main(["train", "--config", str(config), "--out", str(tmp_path / "r")])
     assert rc == 3
     assert "m.tsv" in capsys.readouterr().err
+
+
+def test_train_sincnet_on_clips_without_a_pooled_frame_exits_3(tmp_path, capsys):
+    """Clips of 251-330 samples fill the sinc kernel but give no pooled
+    frame: a data error (exit 3) naming the 331-sample minimum."""
+    manifest, manifest_path = gen_synthetic_corpus(tmp_path / "short", n_classes=10,
+                                                   clips_per_class=6, seed=5)
+    for i, entry in enumerate(manifest.entries):
+        samples = load_wav(entry.path).samples
+        write_wav(entry.path, Waveform(samples[:251 + (37 * i) % 80]))
+    config = write_config(tmp_path, manifest_path, encoder="sincnet")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "r")]) == 3
+    assert "needs 331" in capsys.readouterr().err
 
 
 def test_train_unknown_config_key_exits_2(tmp_path, corpus):

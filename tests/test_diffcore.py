@@ -5,8 +5,10 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from protoaudio import diffcore as dc
+from protoaudio.diffcore.ops import _finish
 from protoaudio.errors import (
     CorruptCheckpointError,
     NonFiniteValueError,
@@ -144,6 +146,35 @@ def test_backward_frees_tape_without_cyclic_gc():
     assert w.grad is not None
 
 
+def test_backward_frees_each_node_as_the_sweep_passes_it():
+    """An array that only a later node's backward captures is freed before an
+    earlier node's backward runs; the cyclic collector is not needed."""
+    x = t64([1.0, 2.0])
+    seen = []
+    gc.disable()
+    try:
+        with dc.Tape() as tape:
+            y = dc.mul(x, x)
+            earlier = tape.nodes[-1]
+            mul_backward = earlier.backward_fn
+
+            def spy(g):
+                seen.append(captured())
+                return mul_backward(g)
+
+            earlier.backward_fn = spy
+            scratch = np.full(2, 3.0)
+            captured = weakref.ref(scratch)
+            doubled = dc.Tensor(2.0 * y.data)
+            tape.record("double", (y,), doubled, lambda g, keep=scratch: (2.0 * g,))
+            del scratch
+            dc.backward(dc.sum_all(doubled))
+    finally:
+        gc.enable()
+    assert seen == [None]
+    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+
+
 def test_second_backward_through_tape_raises():
     x = t64([1.0, 2.0])
     with dc.Tape():
@@ -237,6 +268,24 @@ def test_lstm_sequence_backward_runs_once():
         node.backward_fn(np.ones(out.shape))
 
 
+@pytest.mark.parametrize("index", [
+    [0, 4],          # row 4 of 4
+    [1, -2],         # below -1
+    [2, -1, 2],      # row 2 taken twice
+    [[0, 1]],        # not 1-D
+])
+def test_gather_rows_rejects_bad_index(index):
+    with pytest.raises(ShapeMismatchError):
+        dc.gather_rows(np.zeros((4, 3)), index)
+
+
+def test_gather_rows_values_and_zero_rows():
+    a = np.arange(12.0).reshape(4, 3)
+    got = dc.gather_rows(a, [-1, 3, 0, -1, 1]).data
+    np.testing.assert_array_equal(got, [[0, 0, 0], a[3], a[0], [0, 0, 0], a[1]])
+    assert not np.any(np.signbit(got))
+
+
 # -- equivalence with the kernels the strided ones replaced ----------------------
 
 
@@ -265,6 +314,71 @@ def test_single_channel_conv2d_matches_shifted_gemms(stride, padding):
     want = shifted_gemm_conv2d(x, w, b, stride, padding)
     assert got.shape == want.shape and got.dtype == np.float32
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+
+def im2col_conv1d(x, w, b=None, stride=1, padding=0):
+    """The im2col conv1d that the stride-folded one replaced: one (B·Lo, K·C)
+    column matrix, kept for the backward, and one GEMM."""
+    x, w = dc.as_tensor(x), dc.as_tensor(w)
+    bias = dc.as_tensor(b) if b is not None else None
+    B, L, C = x.data.shape
+    K, _, O = w.data.shape
+    Lp = L + 2 * padding
+    Lo = (Lp - K) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
+    win = sliding_window_view(xp, K, axis=1)[:, ::stride]      # (B, Lo, C, K)
+    col = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(B * Lo, K * C)
+    wflat = w.data.reshape(K * C, O)
+    out = col @ wflat
+    if bias is not None:
+        out = out + bias.data
+    out = out.reshape(B, Lo, O)
+
+    def bwd(g):
+        gflat = g.reshape(B * Lo, O)
+        dw = (col.T @ gflat).reshape(K, C, O)
+        dx = None
+        if x.requires_grad:
+            dcol = (gflat @ wflat.T).reshape(B, Lo, K, C)
+            dxp = np.zeros((B, Lp, C), dtype=x.dtype)
+            for k in range(K):
+                dxp[:, k:k + stride * Lo:stride] += dcol[:, :, k]
+            dx = dxp[:, padding:padding + L] if padding else dxp
+        if bias is None:
+            return dx, dw
+        return dx, dw, gflat.sum(axis=0)
+
+    inputs = (x, w) if bias is None else (x, w, bias)
+    return _finish("conv1d", inputs, out, bwd)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+    ((1, 97, 64), (5, 64, 64), 1, 2),        # the SincNet stack convs
+    ((1, 12800, 1), (251, 1, 64), 80, 0),    # the sinc layer
+    ((3, 40, 4), (5, 4, 6), 1, 2),
+    ((2, 1000, 1), (251, 1, 8), 80, 0),
+    ((2, 31, 3), (7, 3, 5), 3, 1),           # K not a multiple of the stride
+    ((2, 29, 2), (4, 2, 3), 4, 0),           # K equal to the stride
+    ((1, 9, 2), (3, 2, 3), 5, 1),            # stride above K
+], ids=["stack", "sinc", "stack-B3", "sinc-B2", "K7-s3", "K4-s4", "K3-s5"])
+def test_conv1d_matches_im2col(x_shape, w_shape, stride, padding):
+    """The stride-folded conv1d gives the im2col conv1d's output and its input,
+    weight and bias gradients in float64."""
+    rng = np.random.default_rng(x_shape[1] + stride)
+    x_data = rng.standard_normal(x_shape)
+    w_data = rng.standard_normal(w_shape) / np.sqrt(w_shape[0] * w_shape[1])
+    b_data = rng.standard_normal(w_shape[2])
+    results = []
+    for op in (dc.conv1d, im2col_conv1d):
+        x, w, b = t64(x_data), t64(w_data), t64(b_data)
+        with dc.Tape():
+            out = op(x, w, b, stride=stride, padding=padding)
+            weights = dc.Tensor(np.cos(np.arange(out.size)).reshape(out.shape))
+            gmap = dc.backward(dc.sum_all(dc.mul(out, weights)))
+        results.append([out.data] + [gmap[t].data for t in (x, w, b)])
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def argmax_max_pool1d(x, g, k):
@@ -311,6 +425,31 @@ def test_max_pool_matches_argmax_kernels(op, reference, shape, k):
     (dx,) = node.backward_fn(g)
     assert out.data.tobytes() == want_out.tobytes()
     assert dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("op,reference,shape", [
+    (dc.max_pool1d, argmax_max_pool1d, (2, 9, 3)),
+    (dc.max_pool2d, argmax_max_pool2d, (2, 4, 6, 3)),
+], ids=["pool1d", "pool2d"])
+def test_max_pool_negative_gradient_on_tied_zeros(op, reference, shape):
+    """All gradients are negative. Most windows tie at zero and send theirs to
+    the first entry; the rest hold their max in the last entry, so the
+    earlier entries miss. Every entry that gets no gradient, the pool1d
+    remainder included, is +0.0, not -0.0, as in the argmax kernels."""
+    x = np.zeros(shape, dtype=np.float32)
+    if op is dc.max_pool1d:
+        x[:, 1::4] = 1.0
+    else:
+        x[:, 1::2, 1::4] = 1.0
+    with dc.Tape() as tape:
+        out = op(dc.Tensor(x, requires_grad=True), 2)
+        node = tape.nodes[-1]
+    g = -np.arange(1, out.size + 1, dtype=np.float32).reshape(out.shape)
+    _, want = reference(x, g, 2)
+    (dx,) = node.backward_fn(g)
+    assert dx.tobytes() == want.tobytes()
+    assert np.count_nonzero(dx) == g.size
+    assert not np.any(np.signbit(dx[dx == 0]))
 
 
 # -- Adam ----------------------------------------------------------------------
@@ -390,6 +529,9 @@ def gradcheck_cases(rng):
         ("conv1d", lambda x, w, b: dc.conv1d(x, w, b, stride=2, padding=1),
          [u(2, 11, 3), u(5, 3, 4), u(4)]),
         ("conv1d_plain", lambda x, w: dc.conv1d(x, w), [u(1, 9, 2), u(3, 2, 3)]),
+        ("conv1d_K7_stride3", lambda x, w, b: dc.conv1d(x, w, b, stride=3, padding=1),
+         [u(2, 14, 2), u(7, 2, 3), u(3)]),
+        ("gather_rows", lambda a: dc.gather_rows(a, [2, -1, 0, 5, -1, 3]), [u(6, 3)]),
         ("conv2d", lambda x, w, b: dc.conv2d(x, w, b, stride=1, padding=1),
          [u(2, 4, 6, 3), u(3, 3, 3, 4), u(4)]),
         ("conv2d_strided", lambda x, w: dc.conv2d(x, w, stride=2),

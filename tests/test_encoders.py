@@ -18,6 +18,8 @@ from protoaudio.encoders import (
 from protoaudio.errors import ConfigError, KernelTooLongError, ShapeMismatchError
 from protoaudio.protonet import episode_loss
 
+from test_diffcore import im2col_conv1d
+
 FRONTEND = FrontendConfig()
 DESK = dict(scale="desk")
 
@@ -296,6 +298,23 @@ def test_sinc_rejects_short_waveform():
         enc.feature_maps([np.zeros(100, dtype=np.float32)])
 
 
+@pytest.mark.parametrize("kind", ["sincnet", "sincnet+vgg", "sincnet+lstm"])
+@pytest.mark.parametrize("short", [251, 300, 330])
+def test_sinc_rejects_clip_without_one_pooled_frame(kind, short):
+    """A clip of kernel_len <= n < kernel_len + stride samples has one conv
+    frame and no pooled one. It raises KernelTooLongError naming the minimum,
+    also from the middle of a batch; 331 samples give one pooled frame."""
+    enc = make(kind)
+    rng = np.random.default_rng(short)
+    batch = [rng.uniform(-0.5, 0.5, size=n).astype(np.float32) for n in (16000, short, 8000)]
+    with pytest.raises(KernelTooLongError, match=r"waveform 1 has \d+ samples.* needs 331"):
+        enc.embed_batch(batch)
+    batch[1] = rng.uniform(-0.5, 0.5, size=331).astype(np.float32)
+    assert enc.embed_batch(batch).shape == (3, enc.embed_dim)
+    if kind == "sincnet":
+        assert [m.shape[0] for m in enc.feature_maps(batch)] == [98, 1, 48]
+
+
 def test_sinc_layer_orientation():
     enc = make("sincnet")
     clip = synth_clip(TimbreProfile(440.0), 0.5, seed=0)
@@ -473,6 +492,80 @@ def test_batched_forward_matches_per_clip_gradients(kind):
     for name, ref in ref_grads.items():
         np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-5 * np.abs(ref).max(),
                                    err_msg=name)
+
+
+def im2col_sinc_maps(enc, inputs):
+    """The per-clip `feature_maps` the one-pass layout replaced: band-pass
+    kernels built once, then the sinc conv, pool and conv stack run clip by
+    clip through the im2col conv1d."""
+    f1, f2 = enc._cutoffs()
+    kernels = dc.sinc_kernel(f1, f2, enc.kernel_len, enc._window)
+    w = dc.reshape(dc.transpose(kernels), (enc.kernel_len, 1, enc.n_filters))
+    p = enc.params
+    maps = []
+    for samples in inputs:
+        x = np.asarray(samples, dtype=np.float32)
+        h = im2col_conv1d(dc.Tensor(x.reshape(1, x.shape[0], 1)), w, stride=enc.stride)
+        h = dc.max_pool1d(dc.log(dc.add_scalar(dc.absval(h), 1e-6)), 2)
+        h = dc.relu(im2col_conv1d(h, p["conv1_w"], p["conv1_b"], padding=enc._pad))
+        h = dc.relu(im2col_conv1d(h, p["conv2_w"], p["conv2_b"], padding=enc._pad))
+        maps.append(dc.reshape(h, h.shape[1:]))
+    return maps
+
+
+@pytest.mark.parametrize("kind", ["sincnet", "sincnet+vgg", "sincnet+lstm"])
+def test_one_pass_sinc_matches_per_clip_im2col(kind):
+    """Embeddings, feature-map shapes and every parameter gradient of a fixed
+    loss equal those of the per-clip im2col forward, in float64, on clips of
+    331 samples (one pooled frame), 411 (3 conv frames), 4080 (48) and 4001
+    (47), 12800 and 19200."""
+    enc = make(kind, seed=4)
+    for p in enc.params.values():
+        p.data = p.data.astype(np.float64)
+    sinc = enc if kind == "sincnet" else enc.sinc
+    rng = np.random.default_rng(15)
+    inputs = [rng.uniform(-0.5, 0.5, size=n).astype(np.float32)
+              for n in (4080, 331, 19200, 411, 12800, 4001)]
+    if kind == "sincnet":
+        def reference(items):
+            maps = im2col_sinc_maps(sinc, items)
+            return dc.segment_mean(dc.concat(maps), [m.shape[0] for m in maps])
+    else:
+        def reference(items):
+            return enc.head.embed_batch(im2col_sinc_maps(sinc, items))
+    assert ([m.shape for m in sinc.feature_maps(inputs)]
+            == [m.shape for m in im2col_sinc_maps(sinc, inputs)]
+            == [(t, 64) for t in (24, 1, 118, 1, 78, 23)])
+    weights = dc.Tensor(rng.standard_normal((len(inputs), enc.embed_dim)))
+    results = []
+    for embed in (enc.embed_batch, reference):
+        with dc.Tape():
+            emb = embed(inputs)
+            gmap = dc.backward(dc.sum_all(dc.mul(emb, weights)))
+        results.append((emb.data, {n: gmap[p].data for n, p in enc.params.items()}))
+    (emb, grads), (ref_emb, ref_grads) = results
+    np.testing.assert_allclose(emb, ref_emb, rtol=0, atol=1e-12 * np.abs(ref_emb).max())
+    assert sorted(grads) == sorted(enc.params)
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
+                                   err_msg=name)
+
+
+def test_sincnet_tape_size_independent_of_clip_count():
+    """A desk `sincnet` forward records as many tape nodes for 5 clips as for
+    50: the batch runs as one pass, with 3 conv1d nodes and 1 max_pool1d."""
+    enc = make("sincnet")
+    rng = np.random.default_rng(16)
+    counts = []
+    for n_clips in (5, 50):
+        batch = [rng.uniform(-0.5, 0.5, size=n).astype(np.float32)
+                 for n in rng.integers(8000, 19201, size=n_clips)]
+        with dc.Tape() as tape:
+            enc.embed_batch(batch)
+        ops = [node.op_name for node in tape.nodes]
+        assert (ops.count("conv1d"), ops.count("max_pool1d")) == (3, 1)
+        counts.append(len(ops))
+    assert counts[0] == counts[1] < 30
 
 
 @pytest.mark.parametrize("kind", ["vgg", "lstm", "sincnet", "sincnet+vgg", "sincnet+lstm"])
