@@ -23,6 +23,7 @@ from .datasetkit import (
     save_split,
     select_single_label_subset,
 )
+from .diffcore.checkpoint import write_atomic
 from .dsp import FrontendConfig, extract_features, save_features
 from .encoders import EncoderSpec, build_encoder
 from .errors import (
@@ -214,10 +215,9 @@ def cmd_eval(args) -> int:
         "seed": seed,
         "report": report.to_dict(),
     }
-    (run / f"eval_{args.split}.txt").write_text(table, encoding="utf-8")
-    (run / f"eval_{args.split}.json").write_text(
-        json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(run / f"eval_{args.split}.txt", table.encode("utf-8"))
+    write_atomic(run / f"eval_{args.split}.json",
+                 (json.dumps(record, sort_keys=True, indent=2) + "\n").encode("utf-8"))
     return 0
 
 

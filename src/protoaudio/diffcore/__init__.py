@@ -32,7 +32,6 @@ from .ops import (
     slice_rows,
     softmax,
     squared_euclidean,
-    sub,
     sum_all,
     tanh,
     transpose,
@@ -48,5 +47,5 @@ __all__ = [
     "cross_entropy", "gather_rows", "log", "lstm_sequence", "matmul", "max_pool1d", "max_pool2d",
     "mean_pool", "mul", "mul_scalar", "neg", "pad_rows", "relu", "reshape",
     "segment_mean", "sigmoid", "sinc_kernel", "slice_rows", "softmax",
-    "squared_euclidean", "sub", "sum_all", "tanh", "transpose",
+    "squared_euclidean", "sum_all", "tanh", "transpose",
 ]

@@ -15,13 +15,15 @@ Layout (all integers little-endian):
     32 raw bytes: SHA-256 of everything above
 
 Tensors are written in sorted-name order, so identical content yields
-identical bytes.
+identical bytes. The archive, like the run's other output files, is written
+through `write_atomic`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -35,6 +37,18 @@ VERSION = 1
 
 _TAG_FOR = {np.dtype("<f4"): 0, np.dtype("<f8"): 1, np.dtype("<i8"): 2}
 _DTYPE_FOR = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i8")}
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace the file at path with data, or leave it as it was: the bytes go
+    to a temp file in the same directory, which os.replace moves over path."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_archive(path, tensors: Mapping[str, np.ndarray], meta: dict | None = None) -> None:
@@ -55,7 +69,7 @@ def save_archive(path, tensors: Mapping[str, np.ndarray], meta: dict | None = No
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.astype(dt, copy=False).tobytes())
     body = b"".join(parts)
-    Path(path).write_bytes(body + hashlib.sha256(body).digest())
+    write_atomic(path, body + hashlib.sha256(body).digest())
 
 
 def load_archive(path):

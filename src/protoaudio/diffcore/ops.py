@@ -1,10 +1,12 @@
 """Differentiable operator set.
 
-Exactly the ops the encoders and episode loss need, each with an analytic
-backward rule. Layout conventions: feature maps are channels-last, i.e.
-conv1d works on (B, L, C) with kernels (K, C, O) and conv2d on (B, H, W, C)
-with kernels (KH, KW, C, O). Broadcasting is limited to bias-add over the
-last axis; everything else requires explicit matching shapes.
+The ops the encoders and the episode loss are built from, plus `mul`,
+`sigmoid`, `tanh`, `pad_rows` and `sum_all`, which only the tests' reference
+encoders and losses use; each has an analytic backward rule. Layout
+conventions: feature maps are channels-last, i.e. conv1d works on (B, L, C)
+with kernels (K, C, O) and conv2d on (B, H, W, C) with kernels (KH, KW, C, O).
+Broadcasting is limited to bias-add over the last axis; everything else
+requires explicit matching shapes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .tensor import Tensor, active_tape, as_tensor, guard_finite
 
 # Ops whose gradients the finite-difference suite must cover.
 DIFFERENTIABLE_OPS = (
-    "add", "sub", "mul", "add_scalar", "mul_scalar", "neg",
+    "add", "mul", "add_scalar", "mul_scalar", "neg",
     "matmul", "relu", "sigmoid", "tanh", "absval", "log", "clip",
     "sum_all", "mean_pool", "segment_mean", "concat", "reshape", "transpose",
     "slice_rows", "pad_rows", "gather_rows", "softmax", "squared_euclidean", "cross_entropy",
@@ -58,16 +60,6 @@ def add(a, b) -> Tensor:
         return g, g
 
     return _finish("add", (a, b), a.data + b.data, bwd)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _need_same_shape("sub", a, b)
-
-    def bwd(g):
-        return g, -g
-
-    return _finish("sub", (a, b), a.data - b.data, bwd)
 
 
 def mul(a, b) -> Tensor:

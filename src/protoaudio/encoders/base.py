@@ -9,8 +9,8 @@ import numpy as np
 
 from ..audio_io import Waveform
 from ..dsp import FrontendConfig
-from ..errors import ConfigError, ShapeMismatchError
-from ..diffcore import Tensor, concat
+from ..errors import ConfigError, DimensionMismatchError, ShapeMismatchError
+from ..diffcore import Tensor, as_tensor, concat
 
 KINDS = ("vgg", "lstm", "sincnet", "sincnet+vgg", "sincnet+lstm")
 SCALES = ("paper", "desk")
@@ -95,7 +95,8 @@ class Encoder:
 
     Subclasses set .spec, .params (dict[str, Tensor]) and implement
     prepare_input() (waveform -> model input array, cacheable) and
-    embed_batch() (list of inputs -> (B, embed_dim) Tensor).
+    embed_batch() (list of inputs -> (B, embed_dim) Tensor), which
+    FrameEncoder implements through embed_rows().
     """
 
     spec: EncoderSpec
@@ -130,10 +131,28 @@ class Encoder:
             p.data = arr.copy()
 
 
+class FrameEncoder(Encoder):
+    """An encoder over (T, 64) feature frames, whose whole model is
+    embed_rows(): the frames of B clips packed one clip after another into
+    one (Σ T_b, 64) Tensor, plus the T_b. The composed encoders hand the sinc
+    front end's packed maps to it in the same format."""
+
+    def embed_rows(self, rows: Tensor, lengths: Sequence[int]) -> Tensor:
+        raise NotImplementedError
+
+    def embed_batch(self, inputs: Sequence) -> Tensor:
+        clips = [as_tensor(item) for item in inputs]
+        if not clips:
+            raise ShapeMismatchError(f"{self.spec.kind}: empty batch")
+        for i, clip in enumerate(clips):
+            if clip.ndim != 2 or clip.shape[0] < 1 or clip.shape[1] != N_MELS:
+                raise DimensionMismatchError(
+                    f"{self.spec.kind}: clip {i} is {clip.shape}; expects (T, {N_MELS}) "
+                    f"features with T >= 1"
+                )
+        return self.embed_rows(concat(clips), [clip.shape[0] for clip in clips])
+
+
 def raw_samples(waveform) -> np.ndarray:
     x = waveform.samples if isinstance(waveform, Waveform) else np.asarray(waveform)
     return x.astype(np.float32)
-
-
-def batch_concat(rows: list) -> Tensor:
-    return rows[0] if len(rows) == 1 else concat(rows, axis=0)

@@ -6,15 +6,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ..diffcore import Tensor, add, as_tensor, concat, lstm_sequence, matmul, segment_mean
+from ..diffcore import Tensor, add, concat, lstm_sequence, matmul, segment_mean
 from ..dsp import FrontendConfig, build_mel_filterbank, extract_features
-from ..errors import DimensionMismatchError
-from .base import N_MELS, Encoder, EncoderSpec, batch_concat, kaiming_uniform, scaled_uniform
+from .base import N_MELS, EncoderSpec, FrameEncoder, kaiming_uniform, scaled_uniform
 
 _GATES = ("i", "f", "g", "o")
 
 
-class LstmEncoder(Encoder):
+class LstmEncoder(FrameEncoder):
     """Single-layer LSTM; the hidden state is projected to the output width at
     every timestep and the per-timestep outputs are averaged over the clip."""
 
@@ -40,21 +39,14 @@ class LstmEncoder(Encoder):
     def prepare_input(self, waveform) -> np.ndarray:
         return extract_features(waveform, self.frontend, self._filterbank).astype(np.float32)
 
-    def embed_batch(self, inputs: Sequence) -> Tensor:
-        """B clips of (T_b, n_mels) -> (B, out). The per-gate weights are
+    def embed_rows(self, rows: Tensor, lengths: Sequence[int]) -> Tensor:
+        """(Σ T_b, n_mels) packed frames -> (B, out). The per-gate weights are
         joined along the gate axis (order i, f, g, o), the input projection is
-        one GEMM over every real frame of the batch, and `lstm_sequence` runs
-        the recurrence of all clips at once; nothing is padded."""
-        feats = [as_tensor(item) for item in inputs]
-        for seq in feats:
-            if seq.ndim != 2 or seq.shape[1] != N_MELS:
-                raise DimensionMismatchError(
-                    f"lstm expects (T, {N_MELS}) features, got {seq.shape}"
-                )
+        one GEMM over every frame of the batch, and `lstm_sequence` runs the
+        recurrence of all clips at once; nothing is padded."""
         p = self.params
         wx, wh = (concat([p[f"{w}_{g}"] for g in _GATES], axis=1) for w in ("wx", "wh"))
         b = concat([p[f"b_{g}"] for g in _GATES])
-        lengths = [seq.shape[0] for seq in feats]
-        x_proj = add(matmul(batch_concat(feats), wx), b)                 # (N, 4H)
+        x_proj = add(matmul(rows, wx), b)                                # (N, 4H)
         states = lstm_sequence(x_proj, wh, lengths)                     # (N, H)
         return segment_mean(add(matmul(states, p["wy"]), p["by"]), lengths)

@@ -4,8 +4,9 @@ The first layer convolves the waveform with band-pass FIR kernels whose low
 and high cutoffs are the learnable parameters, initialized to mel-spaced bands.
 The map then passes through abs -> log(x + 1e-6) -> max-pool(2) and a small
 two-layer 1-D conv stack. Standalone, the map is time-averaged into the
-embedding; composed variants feed it to the windowed-CNN or LSTM encoder as if
-it were a feature matrix (filter count must match the feature width, 64).
+embedding; composed variants hand the batch's packed maps to the windowed-CNN
+or LSTM encoder's embed_rows as if they were packed feature frames (the stack
+width must match the feature width, 64).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from ..diffcore import (
     reshape,
     segment_mean,
     sinc_kernel,
-    slice_rows,
     transpose,
 )
 from ..dsp import FrontendConfig, mel_inverse, mel_scale
@@ -143,9 +143,10 @@ class SincNetEncoder(Encoder):
                   0.0, 0.5)
         return f1, f2
 
-    def _packed_maps(self, inputs: Sequence):
-        """(N_b,) waveforms -> their time-major maps packed as one (Σ T'_b,
-        channels) Tensor, and the T'_b, in one pass over the whole batch.
+    def packed_maps(self, inputs: Sequence):
+        """(N_b,) waveforms -> their time-major maps packed one clip after
+        another as one (Σ T'_b, channels) Tensor, and the T'_b, in one pass
+        over the whole batch.
 
         The waveforms lie end to end in one buffer, each starting at a
         multiple of 2·stride, so a clip's conv frames are the ones of its own
@@ -191,16 +192,8 @@ class SincNetEncoder(Encoder):
             h = relu(conv1d(h, p[f"conv{i}_w"], p[f"conv{i}_b"], padding=pad))
         return gather_rows(reshape(h, h.shape[1:]), rows), frames.tolist()
 
-    def feature_maps(self, inputs: Sequence) -> list:
-        """(N_b,) waveforms -> time-major (T'_b, channels) maps, cut from one
-        pass over the whole batch."""
-        packed, frames = self._packed_maps(inputs)
-        ends = np.cumsum(frames)
-        return [slice_rows(packed, int(end - t), int(end)) for end, t in zip(ends, frames)]
-
     def embed_batch(self, inputs: Sequence) -> Tensor:
-        packed, frames = self._packed_maps(inputs)
-        return segment_mean(packed, frames)
+        return segment_mean(*self.packed_maps(inputs))
 
 
 class ComposedSincEncoder(Encoder):
@@ -228,4 +221,4 @@ class ComposedSincEncoder(Encoder):
         return raw_samples(waveform)
 
     def embed_batch(self, inputs: Sequence) -> Tensor:
-        return self.head.embed_batch(self.sinc.feature_maps(inputs))
+        return self.head.embed_rows(*self.sinc.packed_maps(inputs))

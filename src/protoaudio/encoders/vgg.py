@@ -3,7 +3,8 @@
 Features are cut into 96-frame windows offset by 48 frames (shorter inputs are
 zero-padded to one window, a trailing partial window is dropped). Each window
 runs through an 8-conv/5-pool stack and flattens to the embedding; per-window
-embeddings are averaged into the clip embedding.
+embeddings are averaged into the clip embedding. The windows of a whole batch
+are cut from its packed frames by two row gathers, one per 48-frame half.
 """
 
 from __future__ import annotations
@@ -12,28 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..diffcore import (
-    Tensor,
-    as_tensor,
-    conv2d,
-    max_pool2d,
-    pad_rows,
-    relu,
-    reshape,
-    segment_mean,
-    slice_rows,
-)
+from ..diffcore import Tensor, concat, conv2d, gather_rows, max_pool2d, relu, reshape, segment_mean
 from ..dsp import FrontendConfig, build_mel_filterbank, extract_features
-from ..errors import DimensionMismatchError
-from .base import (
-    N_MELS,
-    WINDOW_FRAMES,
-    WINDOW_HOP,
-    Encoder,
-    EncoderSpec,
-    batch_concat,
-    kaiming_uniform,
-)
+from .base import N_MELS, WINDOW_FRAMES, WINDOW_HOP, EncoderSpec, FrameEncoder, kaiming_uniform
 
 # conv channel index -> pool after it (VGG11 layout: C P C P C C P C C P C C P)
 _POOL_AFTER = (0, 1, 3, 5, 7)
@@ -46,7 +28,7 @@ def window_count(n_frames: int) -> int:
     return (n_frames - WINDOW_FRAMES) // WINDOW_HOP + 1
 
 
-class VggEncoder(Encoder):
+class VggEncoder(FrameEncoder):
     def __init__(self, spec: EncoderSpec, frontend: FrontendConfig, seed: int):
         self.spec = spec
         self.frontend = frontend
@@ -67,22 +49,6 @@ class VggEncoder(Encoder):
     def prepare_input(self, waveform) -> np.ndarray:
         return extract_features(waveform, self.frontend, self._filterbank).astype(np.float32)
 
-    def _windows(self, feats: Tensor) -> list:
-        if feats.ndim != 2 or feats.shape[1] != N_MELS:
-            raise DimensionMismatchError(
-                f"vgg expects (T, {N_MELS}) features, got {feats.shape}"
-            )
-        t = feats.shape[0]
-        if t < WINDOW_FRAMES:
-            feats = pad_rows(feats, WINDOW_FRAMES)
-            starts = [0]
-        else:
-            starts = [WINDOW_HOP * i for i in range(window_count(t))]
-        return [
-            reshape(slice_rows(feats, s, s + WINDOW_FRAMES), (1, WINDOW_FRAMES, N_MELS, 1))
-            for s in starts
-        ]
-
     def _trunk(self, x: Tensor) -> Tensor:
         """(W, 96, 64, 1) window batch -> (W, embed_dim)."""
         p = self.params
@@ -92,11 +58,23 @@ class VggEncoder(Encoder):
                 x = max_pool2d(x, 2)
         return reshape(x, (x.shape[0], self.spec.dims.vgg_embed_dim))
 
-    def embed_batch(self, inputs: Sequence) -> Tensor:
-        windows, counts = [], []
-        for item in inputs:
-            ws = self._windows(as_tensor(item))
-            windows.extend(ws)
-            counts.append(len(ws))
-        per_window = self._trunk(batch_concat(windows))
-        return segment_mean(per_window, counts)
+    def embed_rows(self, rows: Tensor, lengths: Sequence[int]) -> Tensor:
+        """(Σ T_b, n_mels) packed frames -> (B, embed_dim).
+
+        index[w, j] is the packed row of frame j of window w, or -1 (a zero
+        row) past the end of a clip shorter than one window. Windows of one
+        clip overlap by one hop, but as WINDOW_FRAMES == 2 * WINDOW_HOP the
+        first halves of its windows are disjoint, and so are the second
+        halves: each half is one gather that takes no row twice.
+        """
+        lengths = np.asarray(lengths)
+        counts = np.array([window_count(t) for t in lengths])
+        clip = np.repeat(np.arange(lengths.size), counts)               # clip of each window
+        window = np.arange(clip.size) - (np.cumsum(counts) - counts)[clip]
+        offset = WINDOW_HOP * window[:, None] + np.arange(WINDOW_FRAMES)  # frames of its clip
+        start = (np.cumsum(lengths) - lengths)[clip, None]
+        index = np.where(offset < lengths[clip, None], start + offset, -1)
+        halves = [reshape(gather_rows(rows, index[:, h:h + WINDOW_HOP].ravel()),
+                          (clip.size, WINDOW_HOP, N_MELS, 1))
+                  for h in (0, WINDOW_HOP)]
+        return segment_mean(self._trunk(concat(halves, axis=1)), counts)

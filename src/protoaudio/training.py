@@ -15,6 +15,7 @@ import numpy as np
 
 from .audio_io import load_wav
 from .diffcore import AdamState, Tape, adam_step, backward, load_archive, save_archive
+from .diffcore.checkpoint import write_atomic
 from .diffcore.ops import reshape, slice_rows
 from .encoders import Encoder, EncoderSpec, build_encoder
 from .errors import CheckpointMismatchError, ConfigError, ShapeMismatchError
@@ -63,7 +64,7 @@ class MetricRecord:
 
 
 def save_history(path, history: Sequence[MetricRecord]) -> None:
-    Path(path).write_text("".join(r.to_json() + "\n" for r in history), encoding="utf-8")
+    write_atomic(path, "".join(r.to_json() + "\n" for r in history).encode("utf-8"))
 
 
 def load_history(path) -> list:

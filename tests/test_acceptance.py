@@ -73,7 +73,6 @@ def op_instances(rng):
         cases += [
             ("add", dc.add, [u(r, c), u(r, c)]),
             ("add", dc.add, [u(r, c), u(c)]),          # bias broadcast
-            ("sub", dc.sub, [u(r, c), u(r, c)]),
             ("mul", dc.mul, [u(r, c), u(r, c)]),
             ("add_scalar", lambda a: dc.add_scalar(a, 0.73), [u(r, c)]),
             ("mul_scalar", lambda a: dc.mul_scalar(a, -1.9), [u(r, c)]),

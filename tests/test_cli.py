@@ -176,6 +176,19 @@ def test_eval_byte_identical_reruns(trained_run):
     assert (trained_run / "eval_test.txt").read_bytes() == first_txt
 
 
+@pytest.mark.parametrize("report", ["eval_test.txt", "eval_test.json"])
+def test_eval_report_write_failing_part_way_keeps_previous_report(trained_run, report,
+                                                                  disk_full):
+    assert main(["eval", "--run", str(trained_run), "--episodes", "15"]) == 0
+    before = (trained_run / report).read_bytes()
+    files = sorted(trained_run.iterdir())
+    disk_full(report)
+    with pytest.raises(OSError):
+        main(["eval", "--run", str(trained_run), "--episodes", "20"])
+    assert (trained_run / report).read_bytes() == before
+    assert sorted(trained_run.iterdir()) == files
+
+
 @pytest.mark.parametrize("episodes", ["0", "-1"])
 def test_eval_non_positive_episodes_exits_2(trained_run, episodes, capsys):
     assert main(["eval", "--run", str(trained_run), "--split", "val",

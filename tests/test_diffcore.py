@@ -502,7 +502,6 @@ def gradcheck_cases(rng):
     cases = [
         ("add", dc.add, [u(3, 4), u(3, 4)]),
         ("add_bias", dc.add, [u(3, 4), u(4)]),
-        ("sub", dc.sub, [u(2, 5), u(2, 5)]),
         ("mul", dc.mul, [u(4, 3), u(4, 3)]),
         ("add_scalar", lambda a: dc.add_scalar(a, 1.7), [u(3, 3)]),
         ("mul_scalar", lambda a: dc.mul_scalar(a, -2.3), [u(3, 3)]),
@@ -594,6 +593,17 @@ def test_archive_deterministic_bytes(tmp_path):
     dc.save_archive(p1, tensors, {"x": 1})
     dc.save_archive(p2, dict(reversed(tensors.items())), {"x": 1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_archive_write_failing_part_way_keeps_previous_file(tmp_path, disk_full):
+    path = tmp_path / "model.ckpt"
+    dc.save_archive(path, {"w": np.arange(6, dtype=np.float32)}, {"episode": 1})
+    before = path.read_bytes()
+    disk_full()
+    with pytest.raises(OSError):
+        dc.save_archive(path, {"w": np.ones(600, dtype=np.float32)}, {"episode": 2})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_archive_detects_corruption(tmp_path):

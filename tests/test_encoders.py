@@ -15,7 +15,12 @@ from protoaudio.encoders import (
     sinc_init_mel,
     window_count,
 )
-from protoaudio.errors import ConfigError, KernelTooLongError, ShapeMismatchError
+from protoaudio.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    KernelTooLongError,
+    ShapeMismatchError,
+)
 from protoaudio.protonet import episode_loss
 
 from test_diffcore import im2col_conv1d
@@ -101,6 +106,62 @@ def test_vgg_trailing_partial_window_dropped():
     )
 
 
+def assert_matches_reference(enc, inputs, reference, rng, tol=1e-12):
+    """enc.embed_batch(inputs) and every parameter gradient of a fixed random
+    loss on it equal those of reference(inputs), to tol of the largest entry."""
+    weights = dc.Tensor(rng.standard_normal((len(inputs), enc.embed_dim)))
+    results = []
+    for embed in (enc.embed_batch, reference):
+        with dc.Tape():
+            emb = embed(inputs)
+            gmap = dc.backward(dc.sum_all(dc.mul(emb, weights)))
+        results.append((emb.data, {n: gmap[p].data for n, p in enc.params.items()}))
+    (emb, grads), (ref_emb, ref_grads) = results
+    np.testing.assert_allclose(emb, ref_emb, rtol=0, atol=tol * np.abs(ref_emb).max())
+    assert sorted(grads) == sorted(enc.params)
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=tol * np.abs(ref).max(),
+                                   err_msg=name)
+
+
+def per_clip_windows(enc, maps):
+    """The per-clip window cut that the two gathers of `embed_rows` replaced:
+    a clip shorter than one window zero-padded to 96 frames, then one 96-row
+    slice per window at hop 48, all windows joined for one trunk pass."""
+    windows, counts = [], []
+    for feats in maps:
+        feats = dc.as_tensor(feats)
+        t = feats.shape[0]
+        if t < 96:
+            feats = dc.pad_rows(feats, 96)
+        starts = [48 * i for i in range(window_count(t))]
+        windows += [dc.reshape(dc.slice_rows(feats, s, s + 96), (1, 96, 64, 1)) for s in starts]
+        counts.append(len(starts))
+    return dc.segment_mean(enc._trunk(dc.concat(windows)), counts)
+
+
+@pytest.mark.parametrize("kind", ["vgg", "sincnet+vgg"])
+def test_gathered_windows_match_per_clip_windows(kind):
+    """Embeddings and every parameter gradient of a fixed loss equal those of
+    the per-clip window cut, in float64, on a ragged batch of 1, 29, 95, 96,
+    98, 143, 144 and 248 frames given out of length order; 248 frames give 4
+    overlapping windows."""
+    enc = make(kind, seed=6)
+    for p in enc.params.values():
+        p.data = p.data.astype(np.float64)
+    rng = np.random.default_rng(17)
+    steps = (98, 1, 248, 29, 144, 96, 143, 95)
+    if kind == "vgg":
+        inputs = [rand_feats(rng, t).astype(np.float64) for t in steps]
+        reference = lambda items: per_clip_windows(enc, items)
+    else:   # 251-tap kernel at stride 80, then a 2x pool: 2t conv outputs
+        inputs = [rng.uniform(-0.5, 0.5, size=251 + 80 * (2 * t - 1)) for t in steps]
+        reference = lambda items: per_clip_windows(enc.head, sliced_maps(enc.sinc, items))
+        assert enc.sinc.packed_maps(inputs)[1] == list(steps)
+    assert window_count(248) == 4
+    assert_matches_reference(enc, inputs, reference, rng)
+
+
 # -- LSTM ---------------------------------------------------------------------------
 
 
@@ -166,6 +227,13 @@ def test_lstm_desk_forward_tape_size():
     assert len(tape) < 20
 
 
+def sliced_maps(sinc, inputs):
+    """The clips' sinc maps as slices of the packed rows, one per clip."""
+    rows, lengths = sinc.packed_maps(inputs)
+    ends = np.cumsum(lengths)
+    return [dc.slice_rows(rows, int(end - t), int(end)) for end, t in zip(ends, lengths)]
+
+
 def unrolled_lstm(enc, inputs):
     """The padded, per-gate `embed_batch` that `lstm_sequence` replaced: clips
     zero-padded to the longest, one step of four gate GEMM pairs per frame,
@@ -208,28 +276,30 @@ def test_lstm_sequence_matches_unrolled_encoder(kind):
         reference = lambda items: unrolled_lstm(enc, items)
     else:   # 251-tap kernel at stride 80, then a 2x pool: 2t conv outputs
         inputs = [rng.uniform(-0.5, 0.5, size=251 + 80 * (2 * t - 1)) for t in steps]
-        reference = lambda items: unrolled_lstm(enc.head, enc.sinc.feature_maps(items))
-    weights = dc.Tensor(rng.standard_normal((len(inputs), enc.embed_dim)))
-    results = []
-    for embed in (enc.embed_batch, reference):
-        with dc.Tape():
-            emb = embed(inputs)
-            gmap = dc.backward(dc.sum_all(dc.mul(emb, weights)))
-        results.append((emb.data, {n: gmap[p].data for n, p in enc.params.items()}))
-    (emb, grads), (ref_emb, ref_grads) = results
+        reference = lambda items: unrolled_lstm(enc.head, sliced_maps(enc.sinc, items))
+    assert_matches_reference(enc, inputs, reference, rng)
     if kind == "sincnet+lstm":
-        assert [m.shape[0] for m in enc.sinc.feature_maps(inputs)] == list(steps)
-    np.testing.assert_allclose(emb, ref_emb, rtol=0, atol=1e-12 * np.abs(ref_emb).max())
-    assert sorted(grads) == sorted(enc.params)
-    for name, ref in ref_grads.items():
-        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
-                                   err_msg=name)
+        assert enc.sinc.packed_maps(inputs)[1] == list(steps)
 
 
 @pytest.mark.parametrize("kind", ["vgg", "lstm", "sincnet", "sincnet+vgg", "sincnet+lstm"])
 def test_empty_batch_raises_shape_mismatch(kind):
     with pytest.raises(ShapeMismatchError):
         make(kind).embed_batch([])
+
+
+@pytest.mark.parametrize("kind", ["vgg", "lstm"])
+def test_zero_frame_clip_raises_dimension_mismatch(kind):
+    """A clip with no frames is rejected by name, wherever it sits in the batch,
+    as is a clip of the wrong width."""
+    enc = make(kind)
+    rng = np.random.default_rng(18)
+    batch = [rand_feats(rng, 50), np.zeros((0, 64), dtype=np.float32), rand_feats(rng, 3)]
+    with pytest.raises(DimensionMismatchError, match=r"clip 1 is \(0, 64\)"):
+        enc.embed_batch(batch)
+    batch[1] = rand_feats(rng, 4)[:, :32]
+    with pytest.raises(DimensionMismatchError, match=r"clip 1 is \(4, 32\)"):
+        enc.embed_batch(batch)
 
 
 def test_lstm_is_order_sensitive():
@@ -295,7 +365,7 @@ def test_sinc_kernel_band_response():
 def test_sinc_rejects_short_waveform():
     enc = make("sincnet")
     with pytest.raises(KernelTooLongError):
-        enc.feature_maps([np.zeros(100, dtype=np.float32)])
+        enc.packed_maps([np.zeros(100, dtype=np.float32)])
 
 
 @pytest.mark.parametrize("kind", ["sincnet", "sincnet+vgg", "sincnet+lstm"])
@@ -312,14 +382,14 @@ def test_sinc_rejects_clip_without_one_pooled_frame(kind, short):
     batch[1] = rng.uniform(-0.5, 0.5, size=331).astype(np.float32)
     assert enc.embed_batch(batch).shape == (3, enc.embed_dim)
     if kind == "sincnet":
-        assert [m.shape[0] for m in enc.feature_maps(batch)] == [98, 1, 48]
+        assert enc.packed_maps(batch)[1] == [98, 1, 48]
 
 
 def test_sinc_layer_orientation():
     enc = make("sincnet")
     clip = synth_clip(TimbreProfile(440.0), 0.5, seed=0)
-    fmap = enc.feature_maps([clip.samples])[0]     # time-major (T', channels)
-    assert fmap.shape[1] == 64
+    fmap, lengths = enc.packed_maps([clip.samples])     # time-major (T', channels)
+    assert fmap.shape == (lengths[0], 64)
     assert fmap.shape[0] > 1
 
 
@@ -478,24 +548,13 @@ def test_batched_forward_matches_per_clip_gradients(kind):
     else:   # sinc maps of 1, 28, 58 and 73 frames
         inputs = [rng.uniform(-0.5, 0.5, size=n).astype(np.float32)
                   for n in (480, 4800, 9600, 12000)]
-    weights = dc.Tensor(rng.standard_normal((len(inputs), enc.embed_dim)))
-    results = []
-    for embed in (enc.embed_batch,
-                  lambda items: dc.concat([per_clip_embed(enc, kind, x) for x in items])):
-        with dc.Tape():
-            emb = embed(inputs)
-            gmap = dc.backward(dc.sum_all(dc.mul(emb, weights)))
-        results.append((emb.data, {n: gmap[p].data for n, p in enc.params.items()}))
-    (emb, grads), (ref_emb, ref_grads) = results
-    np.testing.assert_allclose(emb, ref_emb, rtol=0, atol=1e-5 * np.abs(ref_emb).max())
-    assert sorted(grads) == sorted(ref_grads)
-    for name, ref in ref_grads.items():
-        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-5 * np.abs(ref).max(),
-                                   err_msg=name)
+    assert_matches_reference(
+        enc, inputs, lambda items: dc.concat([per_clip_embed(enc, kind, x) for x in items]),
+        rng, tol=1e-5)
 
 
 def im2col_sinc_maps(enc, inputs):
-    """The per-clip `feature_maps` the one-pass layout replaced: band-pass
+    """The per-clip sinc maps the one-pass layout replaced: band-pass
     kernels built once, then the sinc conv, pool and conv stack run clip by
     clip through the im2col conv1d."""
     f1, f2 = enc._cutoffs()
@@ -533,39 +592,29 @@ def test_one_pass_sinc_matches_per_clip_im2col(kind):
     else:
         def reference(items):
             return enc.head.embed_batch(im2col_sinc_maps(sinc, items))
-    assert ([m.shape for m in sinc.feature_maps(inputs)]
+    assert ([m.shape for m in sliced_maps(sinc, inputs)]
             == [m.shape for m in im2col_sinc_maps(sinc, inputs)]
             == [(t, 64) for t in (24, 1, 118, 1, 78, 23)])
-    weights = dc.Tensor(rng.standard_normal((len(inputs), enc.embed_dim)))
-    results = []
-    for embed in (enc.embed_batch, reference):
-        with dc.Tape():
-            emb = embed(inputs)
-            gmap = dc.backward(dc.sum_all(dc.mul(emb, weights)))
-        results.append((emb.data, {n: gmap[p].data for n, p in enc.params.items()}))
-    (emb, grads), (ref_emb, ref_grads) = results
-    np.testing.assert_allclose(emb, ref_emb, rtol=0, atol=1e-12 * np.abs(ref_emb).max())
-    assert sorted(grads) == sorted(enc.params)
-    for name, ref in ref_grads.items():
-        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
-                                   err_msg=name)
+    assert_matches_reference(enc, inputs, reference, rng)
 
 
 def test_sincnet_tape_size_independent_of_clip_count():
-    """A desk `sincnet` forward records as many tape nodes for 5 clips as for
-    50: the batch runs as one pass, with 3 conv1d nodes and 1 max_pool1d."""
-    enc = make("sincnet")
+    """A desk `sincnet`, `sincnet+vgg` or `sincnet+lstm` forward records as
+    many tape nodes for 5 clips as for 50: the batch runs as one pass, with 3
+    conv1d nodes and 1 max_pool1d, and the head takes the packed maps whole."""
     rng = np.random.default_rng(16)
-    counts = []
-    for n_clips in (5, 50):
-        batch = [rng.uniform(-0.5, 0.5, size=n).astype(np.float32)
-                 for n in rng.integers(8000, 19201, size=n_clips)]
-        with dc.Tape() as tape:
-            enc.embed_batch(batch)
-        ops = [node.op_name for node in tape.nodes]
-        assert (ops.count("conv1d"), ops.count("max_pool1d")) == (3, 1)
-        counts.append(len(ops))
-    assert counts[0] == counts[1] < 30
+    for kind, most in (("sincnet", 30), ("sincnet+vgg", 60), ("sincnet+lstm", 40)):
+        enc = make(kind)
+        counts = []
+        for n_clips in (5, 50):
+            batch = [rng.uniform(-0.5, 0.5, size=n).astype(np.float32)
+                     for n in rng.integers(8000, 19201, size=n_clips)]
+            with dc.Tape() as tape:
+                enc.embed_batch(batch)
+            ops = [node.op_name for node in tape.nodes]
+            assert (ops.count("conv1d"), ops.count("max_pool1d")) == (3, 1), kind
+            counts.append(len(ops))
+        assert counts[0] == counts[1] < most, (kind, counts)
 
 
 @pytest.mark.parametrize("kind", ["vgg", "lstm", "sincnet", "sincnet+vgg", "sincnet+lstm"])

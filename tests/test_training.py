@@ -312,6 +312,18 @@ def test_history_round_trip(tmp_path):
     assert loaded[0].val_accuracy is None
 
 
+def test_history_write_failing_part_way_keeps_previous_file(tmp_path, disk_full):
+    path = tmp_path / "history.jsonl"
+    save_history(path, [MetricRecord(1, 1.5, None, "2026-01-01T00:00:00.000+00:00")])
+    before = path.read_bytes()
+    disk_full()
+    with pytest.raises(OSError):
+        save_history(path, [MetricRecord(ep, 1.0, 0.5, "2026-01-01T00:00:01.000+00:00")
+                            for ep in range(1, 50)])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_encoder_checkpoint_round_trip(tmp_path):
     spec = EncoderSpec("vgg", "desk")
     enc = build_encoder(spec, seed=3)
