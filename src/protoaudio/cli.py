@@ -158,8 +158,8 @@ def cmd_train(args) -> int:
     run = Path(args.out)
     run.mkdir(parents=True, exist_ok=True)
     # snapshot before anything else touches the run dir
-    (run / "config.snapshot").write_text(config_path.read_text(encoding="utf-8"),
-                                         encoding="utf-8")
+    write_atomic(run / "config.snapshot",
+                 config_path.read_text(encoding="utf-8").encode("utf-8"))
     split = resolve_splits(values, cfg)
     save_split(split, run / "splits")
     encoder = build_encoder(spec, FrontendConfig(), seed=cfg.seed)

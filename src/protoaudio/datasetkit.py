@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .audio_io import TimbreProfile, Waveform, synth_clip, write_wav
+from .diffcore.checkpoint import write_atomic
 from .errors import (
     ConfigError,
     DuplicatePathError,
@@ -169,9 +170,8 @@ def save_split(split: FewShotSplit, out_dir) -> None:
     )
     for name in ("train", "val", "test"):
         classes = sorted(split.part(name))
-        (out / f"{name}_classes.txt").write_text(
-            header + "".join(c + "\n" for c in classes), encoding="utf-8"
-        )
+        write_atomic(out / f"{name}_classes.txt",
+                     (header + "".join(c + "\n" for c in classes)).encode("utf-8"))
 
 
 # -- single-label subset selection ----------------------------------------------

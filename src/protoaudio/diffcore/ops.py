@@ -1,10 +1,11 @@
 """Differentiable operator set.
 
-The ops the encoders and the episode loss are built from, plus `mul`,
-`sigmoid`, `tanh`, `pad_rows` and `sum_all`, which only the tests' reference
-encoders and losses use; each has an analytic backward rule. Layout
-conventions: feature maps are channels-last, i.e. conv1d works on (B, L, C)
-with kernels (K, C, O) and conv2d on (B, H, W, C) with kernels (KH, KW, C, O).
+The ops the encoders and the episode loss are built from, plus `mul` and
+`sum_all`, which `gradcheck` and the tests' losses use, and `sigmoid`, `tanh`
+and `pad_rows`, which only the tests' reference encoders use; each has an
+analytic backward rule. Layout conventions: feature maps are channels-last,
+i.e. conv1d works on (B, L, C) with kernels (K, C, O) and conv2d on
+(B, H, W, C) with kernels (KH, KW, C, O); both run on one kernel, `_conv`.
 Broadcasting is limited to bias-add over the last axis; everything else
 requires explicit matching shapes.
 """
@@ -493,132 +494,116 @@ def cross_entropy(logits, labels) -> Tensor:
 
 # -- convolution & pooling -----------------------------------------------------
 
+def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
+          x4: np.ndarray, w4: np.ndarray, stride: tuple, padding: tuple) -> Tensor:
+    """The one convolution kernel, on 4-D views x4 (B, H, W, C) and
+    w4 (KH, KW, C, O) of x's and w's data, with (H, W) stride and padding.
+
+    The zero-padded input folds into cells of sh × sw pixels, and the cells
+    of all B images lie end to end as the rows of one (B·Hf·Wf, sh·sw·C)
+    array, Hf = Ho + Jh − 1 and Wf = Wo + Jw − 1: input no output reads is
+    not copied. The kernel folds into Jh·Jw taps of (sh·sw·C, O). Row f of
+    the full (B, Hf, Wf) output grid is Σ_j rows[f + off_j] @ tap_j with
+    off_j = jh·Wf + jw, so each tap is one GEMM over a contiguous slice of
+    rows, once forward and twice backward (Vasudevan, Anderson & Gregg 2017).
+    Rows at image borders are computed, then dropped by one slice of the
+    grid. With one folded channel (`vgg` conv1) those GEMMs would have inner
+    size 1 and run ~7x slower, so the forward runs one im2col GEMM instead.
+    """
+    B, H, W, C = x4.shape
+    KH, KW, _, O = w4.shape
+    if bias is not None and bias.data.shape != (O,):
+        raise ShapeMismatchError(f"{op_name}: bias {bias.data.shape} vs ({O},)")
+    (sh, sw), (ph, pw) = stride, padding
+    Ho, Wo = (H + 2 * ph - KH) // sh + 1, (W + 2 * pw - KW) // sw + 1
+    Jh, Jw = -(-KH // sh), -(-KW // sw)
+    Hf, Wf = Ho + Jh - 1, Wo + Jw - 1
+    D = sh * sw * C
+    dtype = np.result_type(x4.dtype, w4.dtype)
+    cells = np.zeros((B, Hf * sh, Wf * sw, C), dtype=x4.dtype)
+    inside = cells[:, ph:ph + H, pw:pw + W]
+    inside[...] = x4[:, :inside.shape[1], :inside.shape[2]]
+    rows = cells.reshape(B, Hf, sh, Wf, sw, C).swapaxes(2, 3).reshape(B * Hf * Wf, D)
+    wpad = np.zeros((Jh * sh, Jw * sw, C, O), dtype=w4.dtype)
+    wpad[:KH, :KW] = w4
+    taps = wpad.reshape(Jh, sh, Jw, sw, C, O).swapaxes(1, 2).reshape(Jh * Jw, D, O)
+    offs = [jh * Wf + jw for jh in range(Jh) for jw in range(Jw)]
+    N = B * Hf * Wf - offs[-1]          # the last kept row is N - 1
+    dropped = N != B * Ho * Wo          # False for B = 1 with Jw = 1
+    grid = np.empty((B * Hf * Wf, O), dtype=dtype)
+    acc = grid[:N]
+    if D == 1:
+        col = np.stack([rows[off:off + N, 0] for off in offs], axis=1)
+        np.matmul(col, taps.reshape(Jh * Jw, O), out=acc)
+        del col                         # before the output copy below
+    else:
+        np.matmul(rows[:N], taps[0], out=acc)
+        for off, tap in zip(offs[1:], taps[1:]):
+            acc += rows[off:off + N] @ tap
+    if bias is not None:
+        acc += bias.data
+    out = np.ascontiguousarray(grid.reshape(B, Hf, Wf, O)[:, :Ho, :Wo]) if dropped else acc
+    out = out.reshape((B, Ho, O) if x.ndim == 3 else (B, Ho, Wo, O))
+
+    def bwd(g):
+        if dropped:
+            gflat = np.zeros((B * Hf * Wf, O), dtype=g.dtype)
+            gflat.reshape(B, Hf, Wf, O)[:, :Ho, :Wo] = g.reshape(B, Ho, Wo, O)
+            gflat = gflat[:N]
+        else:
+            gflat = g.reshape(N, O)
+        dw = np.stack([rows[off:off + N].T @ gflat for off in offs])
+        dw = dw.reshape(Jh, Jw, sh, sw, C, O).swapaxes(1, 2).reshape(Jh * sh, Jw * sw, C, O)
+        dw = dw[:KH, :KW].reshape(w.data.shape)
+        dx = None
+        if x.requires_grad:
+            drows = np.zeros((B * Hf * Wf, D), dtype=dtype)
+            for off, tap in zip(offs, taps):
+                drows[off:off + N] += gflat @ tap.T
+            dcells = drows.reshape(B, Hf, Wf, sh, sw, C).swapaxes(2, 3)
+            dx = dcells.reshape(B, Hf * sh, Wf * sw, C)[:, ph:ph + H, pw:pw + W]
+            if dx.shape[1:3] != (H, W):     # input past the last cell: no output reads it
+                dx = np.pad(dx, ((0, 0), (0, H - dx.shape[1]), (0, W - dx.shape[2]), (0, 0)))
+            dx = dx.reshape(x.data.shape)
+        if bias is None:
+            return dx, dw
+        return dx, dw, g.reshape(-1, O).sum(axis=0)
+
+    inputs = (x, w) if bias is None else (x, w, bias)
+    return _finish(op_name, inputs, out, bwd)
+
+
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D convolution: x (B, L, C), w (K, C, O) -> (B, Lo, O).
 
-    One code path for every stride. The zero-padded input is folded into
-    frames of `stride` samples, (B, F, stride·C), and the kernel, zero-padded
-    to J = ceil(K / stride) frames, into (J, stride·C, O). Output row t reads
-    frames t .. t + J - 1, so the forward is J GEMMs over contiguous frame
-    slices, summed, and the backward runs the same slices. The op keeps only
-    the padded input for its backward; no im2col matrix is built.
+    `_conv` on the one-pixel-wide views x[:, :, None] and w[:, None]: the
+    input folds into frames of `stride` samples and the kernel into
+    ceil(K / stride) taps. With B = 1 (every SincNet conv: its clips are laid
+    end to end) no output row is dropped and no zero-filled gradient is made.
     """
     x, w = as_tensor(x), as_tensor(w)
     bias = as_tensor(b) if b is not None else None
     if x.ndim != 3 or w.ndim != 3 or x.data.shape[2] != w.data.shape[1]:
         raise ShapeMismatchError(f"conv1d: shapes {x.data.shape} vs {w.data.shape}")
-    B, L, C = x.data.shape
-    K, _, O = w.data.shape
-    if bias is not None and bias.data.shape != (O,):
-        raise ShapeMismatchError(f"conv1d: bias {bias.data.shape} vs ({O},)")
-    Lp = L + 2 * padding
-    if Lp < K:
-        raise ShapeMismatchError(f"conv1d: padded length {Lp} < kernel {K}")
-    Lo = (Lp - K) // stride + 1
-    J = -(-K // stride)
-    F = max(Lo + J - 1, -(-(padding + L) // stride))
-    xp = np.zeros((B, F * stride, C), dtype=x.dtype)
-    xp[:, padding:padding + L] = x.data
-    frames = xp.reshape(B, F, stride * C)
-    wf = np.zeros((J * stride, C, O), dtype=w.dtype)
-    wf[:K] = w.data
-    wf = wf.reshape(J, stride * C, O)
-
-    def frame_slice(j):
-        """Frames j .. j + Lo - 1 of every clip as (B·Lo, stride·C); a view when B = 1."""
-        return frames[:, j:j + Lo].reshape(B * Lo, stride * C)
-
-    out = frame_slice(0) @ wf[0]
-    for j in range(1, J):
-        out += frame_slice(j) @ wf[j]
-    if bias is not None:
-        out += bias.data
-    out = out.reshape(B, Lo, O)
-
-    def bwd(g):
-        gflat = g.reshape(B * Lo, O)
-        dw = np.concatenate([frame_slice(j).T @ gflat for j in range(J)])
-        dw = dw.reshape(J * stride, C, O)[:K]
-        dx = None
-        if x.requires_grad:
-            dframes = np.zeros((B, F, stride * C), dtype=x.dtype)
-            for j in range(J):
-                dframes[:, j:j + Lo] += (gflat @ wf[j].T).reshape(B, Lo, stride * C)
-            dx = dframes.reshape(B, F * stride, C)[:, padding:padding + L]
-        if bias is None:
-            return dx, dw
-        return dx, dw, gflat.sum(axis=0)
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _finish("conv1d", inputs, out, bwd)
+    L, K = x.data.shape[1], w.data.shape[0]
+    if L + 2 * padding < K:
+        raise ShapeMismatchError(f"conv1d: padded length {L + 2 * padding} < kernel {K}")
+    return _conv("conv1d", x, w, bias, x.data[:, :, None], w.data[:, None],
+                 (stride, 1), (padding, 0))
 
 
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution: x (B, H, W, C), w (KH, KW, C, O) -> (B, Ho, Wo, O).
-
-    A single-channel input (the log-mel windows into `vgg` conv1) runs as one
-    im2col GEMM: KH·KW slice copies fill a (B·Ho·Wo, KH·KW) matrix, where the
-    shifted form below would run KH·KW GEMMs of inner size 1 (~10x slower).
-    With C > 1 the forward is a sum of KH·KW shifted GEMMs of inner size C,
-    which keeps the big copies sequential: im2col measured no faster there,
-    and its KH·KW·C-long dot products round differently. The backward is the
-    shifted form for every C; im2col's measured up to 2.8x slower.
-    """
+    """2-D convolution: x (B, H, W, C), w (KH, KW, C, O) -> (B, Ho, Wo, O),
+    by `_conv` with the same stride and padding along both axes."""
     x, w = as_tensor(x), as_tensor(w)
     bias = as_tensor(b) if b is not None else None
     if x.ndim != 4 or w.ndim != 4 or x.data.shape[3] != w.data.shape[2]:
         raise ShapeMismatchError(f"conv2d: shapes {x.data.shape} vs {w.data.shape}")
-    B, H, W, C = x.data.shape
-    KH, KW, _, O = w.data.shape
-    if bias is not None and bias.data.shape != (O,):
-        raise ShapeMismatchError(f"conv2d: bias {bias.data.shape} vs ({O},)")
+    (H, W), (KH, KW) = x.data.shape[1:3], w.data.shape[:2]
     Hp, Wp = H + 2 * padding, W + 2 * padding
     if Hp < KH or Wp < KW:
         raise ShapeMismatchError(f"conv2d: padded input ({Hp},{Wp}) < kernel ({KH},{KW})")
-    Ho = (Hp - KH) // stride + 1
-    Wo = (Wp - KW) // stride + 1
-    xp = (np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-          if padding else x.data)
-
-    def window(kh, kw):
-        return xp[:, kh:kh + stride * Ho:stride, kw:kw + stride * Wo:stride, :]
-
-    if C == 1:
-        col = np.empty((B, Ho, Wo, KH * KW), dtype=x.dtype)
-        for kh in range(KH):
-            for kw in range(KW):
-                col[..., kh * KW + kw] = window(kh, kw)[..., 0]
-        acc = col.reshape(-1, KH * KW) @ w.data.reshape(KH * KW, O)
-    else:
-        acc = np.zeros((B * Ho * Wo, O), dtype=x.dtype)
-        for kh in range(KH):
-            for kw in range(KW):
-                acc += np.ascontiguousarray(window(kh, kw)).reshape(-1, C) @ w.data[kh, kw]
-    if bias is not None:
-        acc += bias.data
-    out = acc.reshape(B, Ho, Wo, O)
-
-    def bwd(g):
-        gflat = np.ascontiguousarray(g).reshape(B * Ho * Wo, O)
-        dw = np.zeros_like(w.data)
-        dxp = np.zeros((B, Hp, Wp, C), dtype=x.dtype) if x.requires_grad else None
-        for kh in range(KH):
-            for kw in range(KW):
-                hs = slice(kh, kh + stride * Ho, stride)
-                ws = slice(kw, kw + stride * Wo, stride)
-                xs = np.ascontiguousarray(xp[:, hs, ws, :]).reshape(-1, C)
-                dw[kh, kw] = xs.T @ gflat
-                if dxp is not None:
-                    dxp[:, hs, ws, :] += (gflat @ w.data[kh, kw].T).reshape(B, Ho, Wo, C)
-        dx = dxp
-        if dxp is not None and padding:
-            dx = dxp[:, padding:padding + H, padding:padding + W, :]
-        if bias is None:
-            return dx, dw
-        return dx, dw, gflat.sum(axis=0)
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _finish("conv2d", inputs, out, bwd)
+    return _conv("conv2d", x, w, bias, x.data, w.data, (stride, stride), (padding, padding))
 
 
 def _max_pool(op_name: str, x: Tensor, windows: list, remainder=None) -> Tensor:

@@ -18,7 +18,7 @@ from .diffcore import AdamState, Tape, adam_step, backward, load_archive, save_a
 from .diffcore.checkpoint import write_atomic
 from .diffcore.ops import reshape, slice_rows
 from .encoders import Encoder, EncoderSpec, build_encoder
-from .errors import CheckpointMismatchError, ConfigError, ShapeMismatchError
+from .errors import CheckpointMismatchError, ConfigError, NonFiniteValueError, ShapeMismatchError
 from .protonet import Episode, episode_loss, sample_episode
 
 
@@ -222,7 +222,8 @@ def train(encoder: Encoder, train_split: Mapping[str, Sequence[str]],
           val_metric: Optional[Callable] = None,
           progress: Optional[Callable] = None) -> TrainResult:
     """Sample episode -> embed -> loss -> backward -> Adam, with periodic
-    validation checks and early stopping.
+    validation checks and early stopping. A non-finite loss or gradient
+    raises NonFiniteValueError naming the episode, before Adam applies it.
 
     Every eval_interval episodes, validation accuracy is measured on a fixed
     batch of cfg.val_episodes episodes (pre-sampled once from a dedicated seed
@@ -267,6 +268,11 @@ def train(encoder: Encoder, train_split: Mapping[str, Sequence[str]],
             name: grad_map[p].data if p in grad_map else np.zeros_like(p.data)
             for name, p in encoder.params.items()
         }
+        loss_value = float(loss.item())
+        bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+        if bad or not math.isfinite(loss_value):
+            raise NonFiniteValueError(f"episode {ep}: loss {loss_value}"
+                                      + (f", non-finite gradient of {bad[0]}" if bad else ""))
         adam_step(encoder.params, grads, state, cfg.lr)
         episodes_run = ep
 
@@ -280,9 +286,9 @@ def train(encoder: Encoder, train_split: Mapping[str, Sequence[str]],
                 bad_checks = 0
             else:
                 bad_checks += 1
-        history.append(MetricRecord(ep, float(loss.item()), val_acc, _now()))
+        history.append(MetricRecord(ep, loss_value, val_acc, _now()))
         if progress is not None:
-            progress(ep, float(loss.item()), train_acc, val_acc)
+            progress(ep, loss_value, train_acc, val_acc)
         if val_acc is not None and bad_checks >= cfg.patience_checks:
             stopped_early = True
             break

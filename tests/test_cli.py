@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,32 @@ def test_train_rerun_identical_modulo_timestamps(corpus, tmp_path):
         runs.append(load_history(out / "history.jsonl"))
     strip = lambda recs: [(r.episode, r.loss, r.val_accuracy) for r in recs]
     assert strip(runs[0]) == strip(runs[1])
+
+
+def test_train_non_finite_step_exits_4_without_checkpoints(tmp_path, corpus, capsys):
+    config = write_config(tmp_path, corpus, lr="1e30")
+    run = tmp_path / "rundir"
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 4
+    assert "episode 2" in capsys.readouterr().err
+    assert not (run / "best.ckpt").exists()
+    assert not (run / "last.ckpt").exists()
+
+
+@pytest.mark.parametrize("target", ["config.snapshot", "splits/train_classes.txt"])
+def test_train_write_failing_part_way_keeps_previous_run_file(trained_run, corpus, tmp_path,
+                                                             target, disk_full):
+    """Training again into an existing run directory: a snapshot or split
+    file whose write stops half-way leaves the previous file as it was."""
+    run = tmp_path / "rundir"
+    shutil.copytree(trained_run, run)
+    before = (run / target).read_bytes()
+    listing = sorted(run.rglob("*"))
+    config = write_config(tmp_path, corpus, seed="4")
+    disk_full(Path(target).name)
+    with pytest.raises(OSError):
+        main(["train", "--config", str(config), "--out", str(run)])
+    assert (run / target).read_bytes() == before
+    assert sorted(run.rglob("*")) == listing
 
 
 def test_train_missing_manifest_exits_3(tmp_path, capsys):

@@ -381,6 +381,85 @@ def test_conv1d_matches_im2col(x_shape, w_shape, stride, padding):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
+def window_conv2d(x, w, b=None, stride=1, padding=0):
+    """The conv2d that the folded-rows kernel replaced: an im2col forward for
+    C = 1, else a sum of KH·KW GEMMs over copied strided windows of the padded
+    input; the backward copies the same window per tap for every C."""
+    x, w = dc.as_tensor(x), dc.as_tensor(w)
+    bias = dc.as_tensor(b) if b is not None else None
+    B, H, W, C = x.data.shape
+    KH, KW, _, O = w.data.shape
+    Hp, Wp = H + 2 * padding, W + 2 * padding
+    Ho = (Hp - KH) // stride + 1
+    Wo = (Wp - KW) // stride + 1
+    xp = (np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+          if padding else x.data)
+
+    def window(kh, kw):
+        return xp[:, kh:kh + stride * Ho:stride, kw:kw + stride * Wo:stride, :]
+
+    if C == 1:
+        col = np.empty((B, Ho, Wo, KH * KW), dtype=x.dtype)
+        for kh in range(KH):
+            for kw in range(KW):
+                col[..., kh * KW + kw] = window(kh, kw)[..., 0]
+        acc = col.reshape(-1, KH * KW) @ w.data.reshape(KH * KW, O)
+    else:
+        acc = np.zeros((B * Ho * Wo, O), dtype=x.dtype)
+        for kh in range(KH):
+            for kw in range(KW):
+                acc += np.ascontiguousarray(window(kh, kw)).reshape(-1, C) @ w.data[kh, kw]
+    if bias is not None:
+        acc += bias.data
+    out = acc.reshape(B, Ho, Wo, O)
+
+    def bwd(g):
+        gflat = np.ascontiguousarray(g).reshape(B * Ho * Wo, O)
+        dw = np.zeros_like(w.data)
+        dxp = np.zeros((B, Hp, Wp, C), dtype=x.dtype)
+        for kh in range(KH):
+            for kw in range(KW):
+                hs = slice(kh, kh + stride * Ho, stride)
+                ws = slice(kw, kw + stride * Wo, stride)
+                dw[kh, kw] = np.ascontiguousarray(xp[:, hs, ws, :]).reshape(-1, C).T @ gflat
+                dxp[:, hs, ws, :] += (gflat @ w.data[kh, kw].T).reshape(B, Ho, Wo, C)
+        dx = dxp[:, padding:padding + H, padding:padding + W, :]
+        if bias is None:
+            return dx, dw
+        return dx, dw, gflat.sum(axis=0)
+
+    inputs = (x, w) if bias is None else (x, w, bias)
+    return _finish("conv2d", inputs, out, bwd)
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("C", [1, 3])
+def test_conv2d_matches_window_conv2d(C, stride, padding):
+    """The folded-rows conv2d gives the per-tap window conv2d's output and its
+    input, weight and bias gradients in float64, on 7 x 5 inputs (divisible
+    by neither stride 2 nor 3), for 3 x 3 and 3 x 2 kernels and a kernel as
+    large as the padded input (one output pixel), at B = 1 and 3."""
+    rng = np.random.default_rng(100 * C + 10 * stride + padding)
+    H, W, O = 7, 5, 4
+    for KH, KW in ((3, 3), (3, 2), (H + 2 * padding, W + 2 * padding)):
+        for B in (1, 3):
+            x_data = rng.standard_normal((B, H, W, C))
+            w_data = rng.standard_normal((KH, KW, C, O)) / np.sqrt(KH * KW * C)
+            b_data = rng.standard_normal(O)
+            results = []
+            for op in (dc.conv2d, window_conv2d):
+                x, w, b = t64(x_data), t64(w_data), t64(b_data)
+                with dc.Tape():
+                    out = op(x, w, b, stride=stride, padding=padding)
+                    weights = dc.Tensor(np.cos(np.arange(out.size)).reshape(out.shape))
+                    gmap = dc.backward(dc.sum_all(dc.mul(out, weights)))
+                results.append([out.data] + [gmap[t].data for t in (x, w, b)])
+            for got, want in zip(*results):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def argmax_max_pool1d(x, g, k):
     """max_pool1d by argmax over a (B, L2, k, C) reshape; g goes to the argmax."""
     B, L, C = x.shape
@@ -537,6 +616,8 @@ def gradcheck_cases(rng):
          [u(1, 7, 5, 2), u(3, 3, 2, 3)]),
         ("conv2d_single_channel", lambda x, w, b: dc.conv2d(x, w, b, stride=2, padding=1),
          [u(2, 5, 4, 1), u(3, 3, 1, 2), u(2)]),
+        ("conv2d_3x2_stride2", lambda x, w, b: dc.conv2d(x, w, b, stride=2, padding=1),
+         [u(2, 6, 5, 2), u(3, 2, 2, 3), u(3)]),
         ("max_pool1d", lambda x: dc.max_pool1d(x, 2), [spread(rng, (2, 7, 3))]),
         ("max_pool2d", lambda x: dc.max_pool2d(x, 2), [spread(rng, (2, 4, 6, 3))]),
         ("sinc_kernel",

@@ -7,7 +7,12 @@ from protoaudio import diffcore as dc
 from protoaudio import training
 from protoaudio.audio_io import TimbreProfile, synth_clip
 from protoaudio.encoders import Encoder, EncoderSpec, build_encoder
-from protoaudio.errors import CheckpointMismatchError, ConfigError, ShapeMismatchError
+from protoaudio.errors import (
+    CheckpointMismatchError,
+    ConfigError,
+    NonFiniteValueError,
+    ShapeMismatchError,
+)
 from protoaudio.training import (
     EvalReport,
     InputCache,
@@ -117,6 +122,14 @@ def test_training_improves_separable_toy_data():
     vals = [r.val_accuracy for r in result.history if r.val_accuracy is not None]
     assert vals[-1] >= vals[0]
     assert result.best_val_accuracy >= 0.9  # means are 1.0 apart; trivially separable
+
+
+def test_non_finite_step_stops_training_at_its_episode():
+    """At lr 1e30 the first Adam step throws the weights so far that the
+    second episode's loss is NaN; training stops there, before Adam applies
+    it, naming the episode and the parameter."""
+    with pytest.raises(NonFiniteValueError, match=r"episode 2: loss nan, .* gradient of w"):
+        train(StubEncoder(), stub_split(), stub_split(), tiny_cfg(lr=1e30), loader=stub_loader)
 
 
 def test_config_validation():
