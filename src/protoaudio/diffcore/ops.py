@@ -471,13 +471,16 @@ def cross_entropy(logits, labels) -> Tensor:
     q, k = logits.data.shape
     if lab.min() < 0 or lab.max() >= k:
         raise ShapeMismatchError(f"cross_entropy: label outside [0, {k})")
-    m = logits.data.max(axis=-1, keepdims=True)
-    z = logits.data - m
-    e = np.exp(z)
-    s = e.sum(axis=-1, keepdims=True)
-    p = e / s
-    nll = np.log(s[:, 0]) - z[np.arange(q), lab]
-    out = np.asarray(nll.mean())
+    # Non-finite logits give a NaN loss, which train() reports by episode;
+    # numpy's warning on the way would only add noise to that report.
+    with np.errstate(invalid="ignore"):
+        m = logits.data.max(axis=-1, keepdims=True)
+        z = logits.data - m
+        e = np.exp(z)
+        s = e.sum(axis=-1, keepdims=True)
+        p = e / s
+        nll = np.log(s[:, 0]) - z[np.arange(q), lab]
+        out = np.asarray(nll.mean())
 
     def bwd(g):
         d = p.copy()

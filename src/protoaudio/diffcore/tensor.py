@@ -9,10 +9,15 @@ backward() consumes the tape: its sweep releases each recorded node, and with
 it the activations the node holds, as soon as it has passed the node, so a
 step's memory is freed during the sweep rather than by the cyclic garbage
 collector. A second backward() through the same tape raises TapeConsumedError.
+
+Importing the module sets the process's glibc malloc policy so that memory the
+sweep frees stays mapped for the next step (see _keep_freed_memory_mapped).
 """
 
 from __future__ import annotations
 
+import ctypes
+import platform
 import threading
 from typing import Callable, Iterable, Optional
 
@@ -183,3 +188,35 @@ def backward(loss: Tensor) -> dict:
         leaf.grad = g
         result[leaf] = Tensor(g)
     return result
+
+
+# glibc <malloc.h> parameter numbers.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory_mapped() -> tuple:
+    """Stop glibc handing the memory backward() frees back to the kernel.
+
+    By default glibc gives the free top of its heap back to the kernel, and
+    the sweep frees a step's activations while that top is otherwise free; the
+    next step's forward then page-faults the same memory in again (~1.6 M
+    minor faults in 20 s of desk sincnet training). A 1 GiB trim threshold
+    keeps it. Setting it switches off glibc's dynamic mmap threshold, so the
+    mmap threshold is pinned too, at 32 MiB, the ceiling that dynamic threshold
+    reaches on 64-bit: smaller arrays come from the heap and are reused, larger
+    ones keep their own mappings and cannot fragment it. The cost is that RSS
+    stays near its peak until the process exits. The policy changes speed,
+    never a computed value. Other C libraries are left alone.
+
+    Returns mallopt's results (1 = accepted), or () off glibc.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return ()
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 1 << 30))
+
+
+_keep_freed_memory_mapped()

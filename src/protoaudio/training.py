@@ -257,7 +257,9 @@ def train(encoder: Encoder, train_split: Mapping[str, Sequence[str]],
     for ep in range(1, cfg.max_episodes + 1):
         episode = sample_episode(train_split, cfg.n_shot, cfg.k_way, cfg.q_query, rng_ep)
         inputs = [cache.get(p) for p in episode.support_paths() + episode.query_paths()]
-        with Tape():
+        # A step that overflows is reported below, by episode and parameter;
+        # numpy's warnings from inside the ops would only precede that report.
+        with Tape(), np.errstate(over="ignore", invalid="ignore"):
             embs = encoder.embed_batch(inputs)
             support = reshape(slice_rows(embs, 0, kn),
                               (cfg.k_way, cfg.n_shot, encoder.embed_dim))

@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +105,10 @@ def test_train_rerun_identical_modulo_timestamps(corpus, tmp_path):
 def test_train_non_finite_step_exits_4_without_checkpoints(tmp_path, corpus, capsys):
     config = write_config(tmp_path, corpus, lr="1e30")
     run = tmp_path / "rundir"
-    assert main(["train", "--config", str(config), "--out", str(run)]) == 4
+    with warnings.catch_warnings():
+        # The exit-4 message is the whole report: no numpy warning on the way.
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", "--config", str(config), "--out", str(run)]) == 4
     assert "episode 2" in capsys.readouterr().err
     assert not (run / "best.ckpt").exists()
     assert not (run / "last.ckpt").exists()

@@ -1,7 +1,14 @@
+import ctypes
 import gc
 import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from protoaudio import diffcore as dc
 from protoaudio.diffcore.ops import _finish
+from protoaudio.diffcore.tensor import _keep_freed_memory_mapped
 from protoaudio.errors import (
     CorruptCheckpointError,
     NonFiniteValueError,
@@ -173,6 +181,46 @@ def test_backward_frees_each_node_as_the_sweep_passes_it():
         gc.enable()
     assert seen == [None]
     np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+
+
+# Trains desk sincnet episodes on a small synthetic corpus and prints the
+# minor page faults of each episode, read in train()'s progress callback.
+EPISODE_FAULTS = """
+import resource, sys
+from protoaudio import (EncoderSpec, FrontendConfig, TrainConfig, build_encoder,
+                        gen_synthetic_corpus, train)
+manifest, _ = gen_synthetic_corpus(sys.argv[1], n_classes=5, clips_per_class=10, seed=5)
+split = {label: [str(p) for p in paths] for label, paths in manifest.by_class().items()}
+encoder = build_encoder(EncoderSpec("sincnet", "desk"), FrontendConfig(), 1)
+cfg = TrainConfig(max_episodes=6, eval_interval=100, lr=1e-3, seed=1)
+faults = [resource.getrusage(resource.RUSAGE_SELF).ru_minflt]
+train(encoder, split, {}, cfg,
+      progress=lambda *_: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+print(*[b - a for a, b in zip(faults, faults[1:])])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+def test_steady_episode_reuses_freed_heap_memory(tmp_path):
+    """Memory backward() frees stays mapped, so once the input cache is full
+    an episode's forward reuses it without page faults."""
+    assert _keep_freed_memory_mapped() == (1, 1)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(dc.__file__).resolve().parents[2]))
+    out = subprocess.run([sys.executable, "-c", EPISODE_FAULTS, str(tmp_path / "corpus")],
+                         env=env, capture_output=True, text=True, timeout=300, check=True)
+    faults = [int(f) for f in out.stdout.split()]
+    assert len(faults) == 6
+    assert statistics.median(faults[2:]) < 500, faults
+
+
+def test_malloc_policy_left_alone_off_glibc(monkeypatch):
+    def no_load(*args, **kwargs):
+        raise AssertionError("loaded a C library off glibc")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("", ""))
+    monkeypatch.setattr(ctypes, "CDLL", no_load)
+    assert _keep_freed_memory_mapped() == ()
 
 
 def test_second_backward_through_tape_raises():
