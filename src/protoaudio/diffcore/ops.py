@@ -12,6 +12,8 @@ requires explicit matching shapes.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 from typing import Optional, Sequence
 
 import numpy as np
@@ -325,6 +327,70 @@ def matmul(a, b) -> Tensor:
     return _finish("matmul", (a, b), a.data @ b.data, bwd)
 
 
+def _numpy_gemm() -> dict:
+    """dtype -> the CBLAS ?gemm numpy itself calls, found through the handle
+    of numpy's own extension module; empty unless numpy carries the 64-bit-int
+    scipy-openblas build (the PyPI wheels)."""
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except (AttributeError, OSError):
+        return {}
+    found = {}
+    for dtype, name, real in ((np.float32, "scipy_cblas_sgemm64_", ctypes.c_float),
+                              (np.float64, "scipy_cblas_dgemm64_", ctypes.c_double)):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            i, ptr = ctypes.c_int64, ctypes.c_void_p
+            fn.argtypes = (ctypes.c_int,) * 3 + (i,) * 3 + (real, ptr, i, ptr, i, real, ptr, i)
+            fn.restype = None
+            found[np.dtype(dtype)] = fn
+    return found
+
+
+_GEMM = _numpy_gemm()
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112      # CBLAS enum values
+
+
+def _blas_layout(a: np.ndarray):
+    """(CBLAS transpose flag, leading dimension) under which row-major ?gemm
+    reads the 2-D array a in place, or None if its strides do not allow it."""
+    (r, c), (s0, s1), item = a.shape, a.strides, a.itemsize
+    if not a.flags.aligned:
+        return None
+    if s1 == item and s0 % item == 0 and s0 >= c * item:
+        return _NO_TRANS, s0 // item
+    if s0 == item and s1 % item == 0 and s1 >= r * item:     # a transposed view
+        return _TRANS, s1 // item
+    return None
+
+
+def _matmul_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out += a @ b for 2-D a (m, k), b (k, n) and out (m, n).
+
+    One ?gemm with β = 1 sums the product straight into out, so no (m, n)
+    temporary is written and read back (Goto & van de Geijn 2008). It is the
+    routine numpy's `@` calls, and with k within one of its blocks (every
+    desk-scale conv) the sums round as `out += a @ b` does. Mixed dtypes, layouts
+    ?gemm cannot read in place (a zero or short leading stride, an inner
+    stride other than the item size), an out that overlaps an input, a
+    numpy without that routine, and m or n of 1, which `@` runs as a faster
+    matrix-vector product that rounds differently, take `out += a @ b`.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    gemm = _GEMM.get(out.dtype)
+    if (gemm is not None and a.dtype == b.dtype == out.dtype and b.shape[0] == k
+            and out.shape == (m, n) and m > 1 and n > 1 and k and out.flags.writeable
+            and not np.may_share_memory(out, a) and not np.may_share_memory(out, b)):
+        la, lb, lc = _blas_layout(a), _blas_layout(b), _blas_layout(out)
+        if la and lb and lc and lc[0] == _NO_TRANS:
+            gemm(_ROW_MAJOR, la[0], lb[0], m, n, k, 1.0, a.ctypes.data, la[1],
+                 b.ctypes.data, lb[1], 1.0, out.ctypes.data, lc[1])
+            return
+    out += a @ b
+
+
 # -- recurrence ------------------------------------------------------------------
 
 def lstm_sequence(x_proj, wh, lengths: Sequence[int]) -> Tensor:
@@ -509,6 +575,8 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     the full (B, Hf, Wf) output grid is Σ_j rows[f + off_j] @ tap_j with
     off_j = jh·Wf + jw, so each tap is one GEMM over a contiguous slice of
     rows, once forward and twice backward (Vasudevan, Anderson & Gregg 2017).
+    The forward's taps and the input gradient's per-tap products sum straight
+    into their output rows through `_matmul_add` (β = 1), with no temporary.
     Rows at image borders are computed, then dropped by one slice of the
     grid. With one folded channel (`vgg` conv1) those GEMMs would have inner
     size 1 and run ~7x slower, so the forward runs one im2col GEMM instead.
@@ -542,7 +610,7 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     else:
         np.matmul(rows[:N], taps[0], out=acc)
         for off, tap in zip(offs[1:], taps[1:]):
-            acc += rows[off:off + N] @ tap
+            _matmul_add(rows[off:off + N], tap, acc)
     if bias is not None:
         acc += bias.data
     out = np.ascontiguousarray(grid.reshape(B, Hf, Wf, O)[:, :Ho, :Wo]) if dropped else acc
@@ -562,7 +630,7 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
         if x.requires_grad:
             drows = np.zeros((B * Hf * Wf, D), dtype=dtype)
             for off, tap in zip(offs, taps):
-                drows[off:off + N] += gflat @ tap.T
+                _matmul_add(gflat, tap.T, drows[off:off + N])
             dcells = drows.reshape(B, Hf, Wf, sh, sw, C).swapaxes(2, 3)
             dx = dcells.reshape(B, Hf * sh, Wf * sw, C)[:, ph:ph + H, pw:pw + W]
             if dx.shape[1:3] != (H, W):     # input past the last cell: no output reads it
@@ -570,7 +638,7 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
             dx = dx.reshape(x.data.shape)
         if bias is None:
             return dx, dw
-        return dx, dw, g.reshape(-1, O).sum(axis=0)
+        return dx, dw, np.einsum("ij->j", g.reshape(-1, O))
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return _finish(op_name, inputs, out, bwd)

@@ -50,12 +50,19 @@ class VggEncoder(FrameEncoder):
         return extract_features(waveform, self.frontend, self._filterbank).astype(np.float32)
 
     def _trunk(self, x: Tensor) -> Tensor:
-        """(W, 96, 64, 1) window batch -> (W, embed_dim)."""
+        """(W, 96, 64, 1) window batch -> (W, embed_dim).
+
+        Each conv is followed by ReLU; on the five pooled layers the pool
+        comes first. Max and ReLU commute, so the results are those of ReLU
+        first, bit for bit, while ReLU and its backward pass over a 4x
+        smaller map and the tape holds one full-size map less per layer.
+        """
         p = self.params
         for i in range(8):
-            x = relu(conv2d(x, p[f"conv{i + 1}_w"], p[f"conv{i + 1}_b"], padding=1))
+            x = conv2d(x, p[f"conv{i + 1}_w"], p[f"conv{i + 1}_b"], padding=1)
             if i in _POOL_AFTER:
                 x = max_pool2d(x, 2)
+            x = relu(x)
         return reshape(x, (x.shape[0], self.spec.dims.vgg_embed_dim))
 
     def embed_rows(self, rows: Tensor, lengths: Sequence[int]) -> Tensor:

@@ -146,7 +146,7 @@ def embed_table(encoder: Encoder, cache: InputCache, paths: Sequence[str],
     return table
 
 
-# Byte budget of the (episodes, k·q, k, d) float64 query-prototype differences
+# Byte budget of the (episodes, k, k·q, d) float64 query-prototype differences
 # score_episode holds at once; it bounds the chunk of episodes scored together.
 SCORE_CHUNK_BYTES = 4 << 20
 
@@ -173,9 +173,9 @@ def score_episode(embeddings: Mapping[str, np.ndarray],
     accuracies = np.empty(len(episodes))
     for s in range(0, len(episodes), chunk):
         protos = table[support[s:s + chunk]].mean(axis=2)                     # (e, k, d)
-        diff = table[query[s:s + chunk]][:, :, None] - protos[:, None]        # (e, k·q, k, d)
-        distances = np.einsum("eqkd,eqkd->eqk", diff, diff)
-        accuracies[s:s + chunk] = np.mean(np.argmax(-distances, axis=2) == labels, axis=1)
+        diff = table[query[s:s + chunk]][:, None] - protos[:, :, None]        # (e, k, k·q, d)
+        distances = np.einsum("ekqd,ekqd->ekq", diff, diff)
+        accuracies[s:s + chunk] = np.mean(np.argmax(-distances, axis=1) == labels, axis=1)
     return accuracies
 
 

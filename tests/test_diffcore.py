@@ -15,7 +15,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from protoaudio import diffcore as dc
-from protoaudio.diffcore.ops import _finish
+from protoaudio.diffcore import ops
+from protoaudio.diffcore.ops import _finish, _matmul_add
 from protoaudio.diffcore.tensor import _keep_freed_memory_mapped
 from protoaudio.errors import (
     CorruptCheckpointError,
@@ -506,6 +507,145 @@ def test_conv2d_matches_window_conv2d(C, stride, padding):
             for got, want in zip(*results):
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+# -- tap sums through numpy's own ?gemm with β = 1 -------------------------------
+
+
+class GemmSpy:
+    """Stands in for one of ops._GEMM's routines: counts calls, forwards them."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@pytest.fixture
+def gemm_calls(monkeypatch):
+    """Spies on every ?gemm _matmul_add calls; returns a function giving the
+    call count so far."""
+    spies = {dt: GemmSpy(fn) for dt, fn in ops._GEMM.items()}
+    monkeypatch.setattr(ops, "_GEMM", spies)
+    return lambda: sum(spy.calls for spy in spies.values())
+
+
+def matmul_add_case(rng, dtype, m, k, n, layout):
+    """(a, b, out) of one layout: 'plain', 'b_transposed' (b a transposed
+    view) or 'out_rows' (out a row slice of a larger array)."""
+    a = rng.standard_normal((m, k)).astype(dtype)
+    if layout == "b_transposed":
+        b = rng.standard_normal((n, k)).astype(dtype).T
+    else:
+        b = rng.standard_normal((k, n)).astype(dtype)
+    if layout == "out_rows":
+        out = rng.standard_normal((m + 5, n)).astype(dtype)[2:2 + m]
+    else:
+        out = rng.standard_normal((m, n)).astype(dtype)
+    return a, b, out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["plain", "b_transposed", "out_rows"])
+@pytest.mark.parametrize("m,k,n", [(37, 16, 8), (200, 64, 64), (1, 9, 6), (9, 7, 1), (12, 1, 5)])
+def test_matmul_add_matches_matmul(gemm_calls, dtype, layout, m, k, n):
+    """_matmul_add(a, b, out) leaves out as `out += a @ b` does, bit for bit,
+    and runs one ?gemm unless m or n is 1; nothing else of out's base moves."""
+    a, b, out = matmul_add_case(np.random.default_rng(m * k * n), dtype, m, k, n, layout)
+    base = out.base if out.base is not None else out
+    want = base.copy()
+    want_out = want[2:2 + m] if layout == "out_rows" else want
+    want_out += a @ b
+    _matmul_add(a, b, out)
+    assert base.tobytes() == want.tobytes()
+    assert gemm_calls() == (1 if ops._GEMM and m > 1 and n > 1 else 0)
+
+
+def test_matmul_add_falls_back_on_unsafe_layouts(gemm_calls):
+    """A broadcast (stride 0) input, an out that overlaps an input and mixed
+    dtypes each take `out += a @ b`, and give its result."""
+    rng = np.random.default_rng(3)
+    buf = rng.standard_normal((20, 14)).astype(np.float32)
+    cases = [
+        (np.broadcast_to(rng.standard_normal(6).astype(np.float32), (20, 6)),
+         rng.standard_normal((6, 5)).astype(np.float32), np.zeros((20, 5), np.float32)),
+        (buf[:, :6], rng.standard_normal((6, 8)).astype(np.float32), buf[:, 6:]),
+        (rng.standard_normal((20, 6)), rng.standard_normal((6, 5)).astype(np.float32),
+         np.zeros((20, 5))),
+    ]
+    for a, b, out in cases:
+        want = out.copy()
+        want += np.array(a) @ b
+        _matmul_add(a, b, out)
+        assert out.tobytes() == want.tobytes()
+    assert gemm_calls() == 0
+
+
+CONV_CASES = [
+    (dc.conv1d, (1, 400, 1), (251, 1, 8), dict(stride=80)),    # folds to 80 channels
+    (dc.conv1d, (3, 40, 6), (5, 6, 7), dict(padding=2)),
+    (dc.conv2d, (4, 12, 8, 8), (3, 3, 8, 16), dict(padding=1)),
+    (dc.conv2d, (2, 9, 7, 3), (3, 3, 3, 4), dict(stride=2, padding=1)),
+    (dc.conv2d, (2, 10, 6, 1), (3, 3, 1, 8), dict(padding=1)),   # im2col forward, n = 1 backward
+]
+
+
+def conv_results(op, x_data, w_data, b_data, kwargs):
+    x, w, b = (dc.Tensor(d, requires_grad=True) for d in (x_data, w_data, b_data))
+    with dc.Tape():
+        out = op(x, w, b, **kwargs)
+        weights = dc.Tensor(np.cos(np.arange(out.size)).reshape(out.shape).astype(np.float32))
+        gmap = dc.backward(dc.sum_all(dc.mul(out, weights)))
+    return [out.data] + [gmap[t].data for t in (x, w, b)]
+
+
+@pytest.mark.parametrize("op,x_shape,w_shape,kwargs", CONV_CASES)
+def test_conv_blas_and_fallback_agree_bit_for_bit(monkeypatch, op, x_shape, w_shape, kwargs):
+    """conv1d and conv2d give the same float32 output and input, weight and
+    bias gradients whether their tap sums run through ?gemm with β = 1 or,
+    with no ?gemm found, as `out += a @ b`."""
+    rng = np.random.default_rng(sum(x_shape))
+    data = (rng.standard_normal(x_shape).astype(np.float32),
+            (0.3 * rng.standard_normal(w_shape)).astype(np.float32),
+            rng.standard_normal(w_shape[-1]).astype(np.float32))
+    blas = conv_results(op, *data, kwargs)
+    monkeypatch.setattr(ops, "_GEMM", {})
+    fallback = conv_results(op, *data, kwargs)
+    for got, want in zip(blas, fallback):
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+
+def test_blas_tap_sums_active_with_scipy_openblas(gemm_calls):
+    """Where numpy is built on the 64-bit-int scipy-openblas (its PyPI
+    wheels), _matmul_add finds its ?gemm for both float types and the conv
+    kernel uses it, forward and backward: a silent fallback would keep every
+    result and lose the speed."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas" or "USE64BITINT" not in blas.get(
+            "openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not 64-bit-int scipy-openblas")
+    assert set(ops._GEMM) == {np.dtype(np.float32), np.dtype(np.float64)}
+    op, x_shape, w_shape, kwargs = CONV_CASES[2]
+    rng = np.random.default_rng(0)
+    conv_results(op, rng.standard_normal(x_shape).astype(np.float32),
+                 rng.standard_normal(w_shape).astype(np.float32),
+                 np.zeros(w_shape[-1], np.float32), kwargs)
+    assert gemm_calls() == 8 + 9    # the taps after the first forward, all 9 into d input
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_bias_gradient_einsum_equals_axis_sum(dtype):
+    """The conv bias gradient, one einsum pass over the (rows, O) gradient,
+    equals the axis-0 sum it replaced bit for bit, on the eight desk `vgg`
+    conv output shapes of a 50-window batch."""
+    rng = np.random.default_rng(7)
+    for shape in [(96, 64, 8), (48, 32, 16), (24, 16, 32), (24, 16, 32),
+                  (12, 8, 64), (12, 8, 64), (6, 4, 64), (6, 4, 64)]:
+        g = rng.standard_normal((50 * shape[0] * shape[1], shape[2])).astype(dtype)
+        assert np.einsum("ij->j", g).tobytes() == g.sum(axis=0).tobytes()
 
 
 def argmax_max_pool1d(x, g, k):

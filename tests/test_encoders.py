@@ -162,6 +162,45 @@ def test_gathered_windows_match_per_clip_windows(kind):
     assert_matches_reference(enc, inputs, reference, rng)
 
 
+def relu_first_trunk(vgg, x):
+    """`VggEncoder._trunk` with ReLU before each pool, as it was before ReLU
+    moved after the pools."""
+    p = vgg.params
+    for i in range(8):
+        x = dc.relu(dc.conv2d(x, p[f"conv{i + 1}_w"], p[f"conv{i + 1}_b"], padding=1))
+        if i in (0, 1, 3, 5, 7):
+            x = dc.max_pool2d(x, 2)
+    return dc.reshape(x, (x.shape[0], vgg.spec.dims.vgg_embed_dim))
+
+
+@pytest.mark.parametrize("kind", ["vgg", "sincnet+vgg"])
+def test_relu_after_pool_matches_relu_before_pool(kind):
+    """Max and ReLU commute: pooling first gives the float32 embeddings and
+    every parameter gradient of ReLU first, bit for bit. The 1- and 29-frame
+    clips are zero-padded to a window, so many pool windows hold tied maxima."""
+    enc = make(kind, seed=4)
+    vgg = enc if kind == "vgg" else enc.head
+    rng = np.random.default_rng(21)
+    steps = (29, 1, 248, 95, 144, 96, 98, 143)
+    if kind == "vgg":
+        inputs = [rand_feats(rng, t) for t in steps]
+    else:
+        inputs = [rng.uniform(-0.5, 0.5, size=251 + 80 * (2 * t - 1)).astype(np.float32)
+                  for t in steps]
+    weights = dc.Tensor(rng.standard_normal((len(inputs), enc.embed_dim)).astype(np.float32))
+    results = []
+    for relu_first in (False, True):
+        if relu_first:
+            vgg._trunk = lambda x: relu_first_trunk(vgg, x)
+        with dc.Tape():
+            emb = enc.embed_batch(inputs)
+            gmap = dc.backward(dc.sum_all(dc.mul(emb, weights)))
+        results.append([emb.data] + [gmap[p].data for p in enc.params.values()])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+
 # -- LSTM ---------------------------------------------------------------------------
 
 

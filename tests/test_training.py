@@ -211,7 +211,10 @@ def reference_score_episode(embeddings, episode):
     return float(np.mean(np.argmax(logits.data, axis=1) == labels))
 
 
-def test_score_episode_matches_reference_scorer():
+def score_trials():
+    """30 (k, table, episodes) trials of random shapes and tables: all-equal
+    embeddings, small integers with exact ties, and random values of scales
+    1e-3 to 1e3."""
     rng = np.random.default_rng(4)
     for trial in range(30):
         n, k, q, d = rng.integers(1, 4), rng.integers(2, 6), rng.integers(1, 4), rng.integers(1, 9)
@@ -225,13 +228,40 @@ def test_score_episode_matches_reference_scorer():
         else:
             scale = 10.0 ** rng.integers(-3, 4)
             table = {p: scale * rng.normal(size=d) for p in paths}
-        episodes = [sample_episode(split, n, k, q, random.Random(trial * 100 + i))
-                    for i in range(20)]
+        yield k, table, [sample_episode(split, n, k, q, random.Random(trial * 100 + i))
+                         for i in range(20)]
+
+
+def test_score_episode_matches_reference_scorer():
+    for trial, (k, table, episodes) in enumerate(score_trials()):
         got = list(score_episode(table, episodes))
         want = [reference_score_episode(table, e) for e in episodes]
         assert got == want
         if trial == 0:
             assert got == [1.0 / k] * len(episodes)
+
+
+def query_major_score_episode(embeddings, episodes):
+    """score_episode as it was with the differences laid out (e, k·q, k, d)
+    and the argmax over the class axis last."""
+    [(k, n, q)] = {(e.k_way, e.n_shot, e.n_query) for e in episodes}
+    row = {p: i for i, p in enumerate(embeddings)}
+    table = np.array([embeddings[p] for p in row], dtype=np.float64)
+    support = np.array([[row[p] for p in e.support_paths()] for e in episodes]).reshape(-1, k, n)
+    query = np.array([[row[p] for p in e.query_paths()] for e in episodes])
+    protos = table[support].mean(axis=2)
+    diff = table[query][:, :, None] - protos[:, None]
+    distances = np.einsum("eqkd,eqkd->eqk", diff, diff)
+    return np.mean(np.argmax(-distances, axis=2) == episodes[0].query_labels(), axis=1)
+
+
+def test_score_episode_matches_query_major_layout():
+    """The (e, k, k·q, d) layout with the argmax over axis 1 gives the
+    accuracy arrays of the (e, k·q, k, d) one it replaced, bit for bit, ties
+    included."""
+    for _, table, episodes in score_trials():
+        got = score_episode(table, episodes)
+        assert got.tobytes() == query_major_score_episode(table, episodes).tobytes()
 
 
 @pytest.mark.parametrize("equal", [False, True], ids=["random", "all-equal"])
@@ -250,6 +280,7 @@ def test_score_episode_chunks_match_reference_scorer(equal):
         episodes = sample_episodes(split, tiny_cfg(n_shot=n, k_way=k, q_query=q), count, "3/eval")
         got = list(score_episode(table, episodes))
         assert got == [reference_score_episode(table, e) for e in episodes]
+        assert np.array(got).tobytes() == query_major_score_episode(table, episodes).tobytes()
         if equal:
             assert got == [1.0 / k] * count
 
