@@ -623,7 +623,10 @@ def test_blas_tap_sums_active_with_scipy_openblas(gemm_calls):
     wheels), _matmul_add finds its ?gemm for both float types and the conv
     kernel uses it, forward and backward: a silent fallback would keep every
     result and lose the speed."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):       # numpy before 1.26 prints its config only
+        pytest.skip("numpy reports no build configuration")
     if blas.get("name") != "scipy-openblas" or "USE64BITINT" not in blas.get(
             "openblas configuration", ""):
         pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not 64-bit-int scipy-openblas")
