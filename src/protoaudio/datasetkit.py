@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     DuplicatePathError,
     EmptyLabelSetError,
+    InsufficientExamplesError,
     ManifestError,
     ManifestParseError,
     TooFewClassesError,
@@ -326,12 +327,15 @@ def gen_synthetic_corpus(out_dir, n_classes: int, clips_per_class: int, seed: in
     """Write WAVs plus manifest.tsv; returns (Manifest, manifest path).
 
     One timbre profile per class; per-clip jitter in duration, amplitude, and
-    noise floor. Deterministic given the seed.
+    noise floor. Deterministic given the seed. Raises before writing anything
+    unless 2 <= n_classes <= 30 and clips_per_class >= 1.
     """
     if n_classes < 2:
         raise TooFewClassesError(f"n_classes={n_classes} must be >= 2")
     if n_classes > 30:
         raise TooFewClassesError("fundamental spacing supports at most 30 classes")
+    if clips_per_class < 1:
+        raise InsufficientExamplesError(f"clips_per_class={clips_per_class} must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -8,7 +8,6 @@ from .ops import (
     absval,
     add,
     add_scalar,
-    clip,
     concat,
     conv1d,
     conv2d,
@@ -22,19 +21,14 @@ from .ops import (
     mean_pool,
     mul,
     mul_scalar,
-    neg,
-    pad_rows,
     relu,
     reshape,
     segment_mean,
-    sigmoid,
     sinc_kernel,
     slice_rows,
     softmax,
     squared_euclidean,
     sum_all,
-    tanh,
-    transpose,
 )
 from .tensor import Tape, Tensor, as_tensor, backward, checked_mode, parameter
 
@@ -43,9 +37,9 @@ __all__ = [
     "GradcheckFailure", "gradcheck",
     "DIFFERENTIABLE_OPS",
     "Tape", "Tensor", "as_tensor", "backward", "checked_mode", "parameter",
-    "absval", "add", "add_scalar", "clip", "concat", "conv1d", "conv2d",
+    "absval", "add", "add_scalar", "concat", "conv1d", "conv2d",
     "cross_entropy", "gather_rows", "log", "lstm_sequence", "matmul", "max_pool1d", "max_pool2d",
-    "mean_pool", "mul", "mul_scalar", "neg", "pad_rows", "relu", "reshape",
-    "segment_mean", "sigmoid", "sinc_kernel", "slice_rows", "softmax",
-    "squared_euclidean", "sum_all", "tanh", "transpose",
+    "mean_pool", "mul", "mul_scalar", "relu", "reshape",
+    "segment_mean", "sinc_kernel", "slice_rows", "softmax",
+    "squared_euclidean", "sum_all",
 ]

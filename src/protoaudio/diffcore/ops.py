@@ -1,9 +1,8 @@
 """Differentiable operator set.
 
 The ops the encoders and the episode loss are built from, plus `mul` and
-`sum_all`, which `gradcheck` and the tests' losses use, and `sigmoid`, `tanh`
-and `pad_rows`, which only the tests' reference encoders use; each has an
-analytic backward rule. Layout conventions: feature maps are channels-last,
+`sum_all`, which `gradcheck` and the tests' losses use; each has an analytic
+backward rule. Layout conventions: feature maps are channels-last,
 i.e. conv1d works on (B, L, C) with kernels (K, C, O) and conv2d on
 (B, H, W, C) with kernels (KH, KW, C, O); both run on one kernel, `_conv`.
 Broadcasting is limited to bias-add over the last axis; everything else
@@ -23,10 +22,9 @@ from .tensor import Tensor, active_tape, as_tensor, guard_finite
 
 # Ops whose gradients the finite-difference suite must cover.
 DIFFERENTIABLE_OPS = (
-    "add", "mul", "add_scalar", "mul_scalar", "neg",
-    "matmul", "relu", "sigmoid", "tanh", "absval", "log", "clip",
-    "sum_all", "mean_pool", "segment_mean", "concat", "reshape", "transpose",
-    "slice_rows", "pad_rows", "gather_rows", "softmax", "squared_euclidean", "cross_entropy",
+    "add", "mul", "add_scalar", "mul_scalar", "matmul", "relu", "absval", "log",
+    "sum_all", "mean_pool", "segment_mean", "concat", "reshape", "slice_rows",
+    "gather_rows", "softmax", "squared_euclidean", "cross_entropy",
     "conv1d", "conv2d", "max_pool1d", "max_pool2d", "sinc_kernel", "lstm_sequence",
 )
 
@@ -93,10 +91,6 @@ def mul_scalar(a, c: float) -> Tensor:
     return _finish("mul_scalar", (a,), a.data * c, bwd)
 
 
-def neg(a) -> Tensor:
-    return mul_scalar(a, -1.0)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0)
@@ -114,27 +108,6 @@ def _sigmoid_(z: np.ndarray) -> None:
     np.exp(z, out=z)
     z += 1.0
     np.reciprocal(z, out=z)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.copy()
-    _sigmoid_(out)
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return _finish("sigmoid", (a,), out, bwd)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return _finish("tanh", (a,), out, bwd)
 
 
 def absval(a) -> Tensor:
@@ -156,17 +129,6 @@ def log(a) -> Tensor:
         return (g / a.data,)
 
     return _finish("log", (a,), out, bwd)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes only through unclamped entries."""
-    a = as_tensor(a)
-    out = np.clip(a.data, lo, hi)
-
-    def bwd(g):
-        return (g * ((a.data >= lo) & (a.data <= hi)),)
-
-    return _finish("clip", (a,), out, bwd)
 
 
 # -- reductions & reshapes ---------------------------------------------------
@@ -240,17 +202,6 @@ def reshape(a, shape) -> Tensor:
     return _finish("reshape", (a,), out, bwd)
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeMismatchError(f"transpose: need 2-D, got {a.data.shape}")
-
-    def bwd(g):
-        return (g.T,)
-
-    return _finish("transpose", (a,), a.data.T.copy(), bwd)
-
-
 def slice_rows(a, start: int, stop: int) -> Tensor:
     """Rows [start, stop) along the first axis."""
     a = as_tensor(a)
@@ -265,25 +216,6 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
         return (dz,)
 
     return _finish("slice_rows", (a,), a.data[start:stop], bwd)
-
-
-def pad_rows(a, target_rows: int) -> Tensor:
-    """Zero-pad the first axis up to target_rows (appended at the end)."""
-    a = as_tensor(a)
-    rows = a.data.shape[0]
-    if target_rows < rows:
-        raise ShapeMismatchError(f"pad_rows: target {target_rows} < rows {rows}")
-    if target_rows == rows:
-        def bwd_id(g):
-            return (g,)
-        return _finish("pad_rows", (a,), a.data, bwd_id)
-    pad = np.zeros((target_rows - rows,) + a.data.shape[1:], dtype=a.dtype)
-    out = np.concatenate([a.data, pad], axis=0)
-
-    def bwd(g):
-        return (g[:rows],)
-
-    return _finish("pad_rows", (a,), out, bwd)
 
 
 def gather_rows(a, index) -> Tensor:
@@ -618,8 +550,11 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
 
     def bwd(g):
         if dropped:
-            gflat = np.zeros((B * Hf * Wf, O), dtype=g.dtype)
-            gflat.reshape(B, Hf, Wf, O)[:, :Ho, :Wo] = g.reshape(B, Ho, Wo, O)
+            gflat = np.empty((B * Hf * Wf, O), dtype=g.dtype)
+            grid4 = gflat.reshape(B, Hf, Wf, O)
+            grid4[:, Ho:] = 0               # zero the border rows only
+            grid4[:, :Ho, Wo:] = 0
+            grid4[:, :Ho, :Wo] = g.reshape(B, Ho, Wo, O)
             gflat = gflat[:N]
         else:
             gflat = g.reshape(N, O)
@@ -734,35 +669,51 @@ def max_pool2d(x, k: int = 2) -> Tensor:
 
 # -- parameterized band-pass kernels --------------------------------------------
 
-def sinc_kernel(f_low, f_high, kernel_len: int, window: Optional[np.ndarray] = None) -> Tensor:
-    """Band-pass FIR kernels from normalized cutoffs, shape (F, kernel_len).
+def sinc_cutoffs(theta_low: np.ndarray, theta_band: np.ndarray, min_band: float):
+    """SincNet's clamp from the raw parameters to band edges 0 <= f1 < f2 <= 0.5,
+    in cycles/sample: f1 = min(|θ_low|, 0.5 − floor) and
+    f2 = min(f1 + (|θ_band| + floor), 0.5), with the floor `min_band` cast to
+    the parameters' dtype. Returns f1, f2 and the masks of the entries each
+    min leaves as they are, the only ones the gradient passes through."""
+    floor = theta_low.dtype.type(min_band)
+    low = np.abs(theta_low)
+    f1 = np.minimum(low, 0.5 - floor)
+    high = f1 + (np.abs(theta_band) + floor)
+    return f1, np.minimum(high, 0.5), low <= 0.5 - floor, high <= 0.5
 
-    Kernel i is 2*f2*sinc(2*pi*f2*n) - 2*f1*sinc(2*pi*f1*n) over centered taps
-    n, times an optional window. Cutoffs are in cycles/sample (Hz / rate).
+
+def sinc_kernel(theta_low, theta_band, min_band: float, kernel_len: int,
+                window: np.ndarray) -> Tensor:
+    """Band-pass FIR kernels from raw cutoff parameters, in the conv1d weight
+    layout (kernel_len, 1, F).
+
+    The cutoffs are `sinc_cutoffs(θ_low, θ_band, min_band)`, and kernel i is
+    (2*f2*sinc(2*pi*f2*n) - 2*f1*sinc(2*pi*f1*n)) * window over centered taps
+    n. The kernels are built as (F, kernel_len) rows and then transposed, and
+    the backward sums along those rows: another layout would round the
+    float32 kernels and cutoff gradients differently.
     """
-    f1, f2 = as_tensor(f_low), as_tensor(f_high)
-    if f1.ndim != 1 or f1.data.shape != f2.data.shape:
-        raise ShapeMismatchError(f"sinc_kernel: cutoffs {f1.data.shape} vs {f2.data.shape}")
+    tl, tb = as_tensor(theta_low), as_tensor(theta_band)
+    if tl.ndim != 1 or tl.data.shape != tb.data.shape:
+        raise ShapeMismatchError(f"sinc_kernel: cutoffs {tl.data.shape} vs {tb.data.shape}")
     if kernel_len < 1 or kernel_len % 2 == 0:
         raise ConfigError(f"sinc_kernel: kernel_len={kernel_len} must be odd")
-    n = (np.arange(kernel_len) - (kernel_len - 1) // 2).astype(f1.dtype)
-    if window is None:
-        win = np.ones(kernel_len, dtype=f1.dtype)
-    else:
-        win = np.asarray(window, dtype=f1.dtype)
-        if win.shape != (kernel_len,):
-            raise ShapeMismatchError(f"sinc_kernel: window {win.shape} vs ({kernel_len},)")
+    win = np.asarray(window, dtype=tl.dtype)
+    if win.shape != (kernel_len,):
+        raise ShapeMismatchError(f"sinc_kernel: window {win.shape} vs ({kernel_len},)")
+    n = (np.arange(kernel_len) - (kernel_len - 1) // 2).astype(tl.dtype)
+    f1, f2, free_low, free_high = sinc_cutoffs(tl.data, tb.data, min_band)
 
     def lowpass(f):
         return 2.0 * f[:, None] * np.sinc(2.0 * f[:, None] * n[None, :])
 
-    out = (lowpass(f2.data) - lowpass(f1.data)) * win[None, :]
+    out = (lowpass(f2) - lowpass(f1)) * win[None, :]
 
     def bwd(g):
-        gw = g * win[None, :]
+        gw = g.reshape(kernel_len, -1).T * win[None, :]
         two_pi_n = 2.0 * np.pi * n[None, :]
-        d2 = (gw * 2.0 * np.cos(two_pi_n * f2.data[:, None])).sum(axis=1)
-        d1 = -(gw * 2.0 * np.cos(two_pi_n * f1.data[:, None])).sum(axis=1)
-        return d1, d2
+        d2 = (gw * 2.0 * np.cos(two_pi_n * f2[:, None])).sum(axis=1) * free_high
+        d1 = -(gw * 2.0 * np.cos(two_pi_n * f1[:, None])).sum(axis=1)
+        return (d1 + d2) * free_low * np.sign(tl.data), d2 * np.sign(tb.data)
 
-    return _finish("sinc_kernel", (f1, f2), out, bwd)
+    return _finish("sinc_kernel", (tl, tb), out.T.copy().reshape(kernel_len, 1, -1), bwd)

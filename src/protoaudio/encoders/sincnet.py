@@ -20,9 +20,7 @@ from ..audio_io import SAMPLE_RATE
 from ..diffcore import (
     Tensor,
     absval,
-    add,
     add_scalar,
-    clip,
     conv1d,
     gather_rows,
     log,
@@ -31,8 +29,8 @@ from ..diffcore import (
     reshape,
     segment_mean,
     sinc_kernel,
-    transpose,
 )
+from ..diffcore.ops import sinc_cutoffs
 from ..dsp import FrontendConfig, mel_inverse, mel_scale
 from ..errors import (
     ConfigError,
@@ -76,17 +74,15 @@ class SincLayerParams:
         return self.theta_low.size
 
     def cutoffs_hz(self):
-        """Effective (f1, f2) in Hz after the clamp chain the forward pass uses."""
+        """Effective (f1, f2) in Hz, from the clamp the forward pass runs."""
         f1, f2 = clamp_cutoffs(self.theta_low, self.theta_band)
         return f1 * self.sample_rate_hz, f2 * self.sample_rate_hz
 
 
-def clamp_cutoffs(theta_low, theta_band):
-    """Numpy mirror of the on-tape clamp chain: 0 <= f1 < f2 <= Nyquist."""
-    min_band = MIN_BAND_HZ / SAMPLE_RATE
-    f1 = np.clip(np.abs(theta_low), 0.0, 0.5 - min_band)
-    f2 = np.clip(f1 + min_band + np.abs(theta_band), 0.0, 0.5)
-    return f1, f2
+def clamp_cutoffs(theta_low: np.ndarray, theta_band: np.ndarray):
+    """The cutoffs (f1, f2), 0 <= f1 < f2 <= Nyquist, in cycles/sample, that
+    `sinc_kernel` computes from these parameters, in their dtype."""
+    return sinc_cutoffs(theta_low, theta_band, MIN_BAND_HZ / SAMPLE_RATE)[:2]
 
 
 def sinc_init_mel(n_filters: int, sample_rate: int = SAMPLE_RATE,
@@ -136,13 +132,6 @@ class SincNetEncoder(Encoder):
     def prepare_input(self, waveform) -> np.ndarray:
         return raw_samples(waveform)
 
-    def _cutoffs(self):
-        min_band = np.float32(MIN_BAND_HZ / SAMPLE_RATE)
-        f1 = clip(absval(self.params["theta_low"]), 0.0, 0.5 - float(min_band))
-        f2 = clip(add(f1, add_scalar(absval(self.params["theta_band"]), float(min_band))),
-                  0.0, 0.5)
-        return f1, f2
-
     def packed_maps(self, inputs: Sequence):
         """(N_b,) waveforms -> their time-major maps packed one clip after
         another as one (Σ T'_b, channels) Tensor, and the T'_b, in one pass
@@ -173,9 +162,9 @@ class SincNetEncoder(Encoder):
         for x, start in zip(waves, starts):
             wave[start:start + x.shape[0]] = x
 
-        f1, f2 = self._cutoffs()
-        kernels = sinc_kernel(f1, f2, K, self._window)                   # (F, K)
-        w = reshape(transpose(kernels), (K, 1, self.n_filters))
+        p = self.params
+        w = sinc_kernel(p["theta_low"], p["theta_band"], MIN_BAND_HZ / SAMPLE_RATE, K,
+                        self._window)                                    # (K, 1, F)
         h = conv1d(Tensor(wave.reshape(1, -1, 1)), w, stride=stride)
         h = max_pool1d(log(add_scalar(absval(h), LOG_EPS)), 2)
 
@@ -186,7 +175,6 @@ class SincNetEncoder(Encoder):
         layout[rows] = src
         keep = np.full(layout.size, -1)
         keep[rows] = rows
-        p = self.params
         for i, index in ((1, layout), (2, keep)):
             h = reshape(gather_rows(reshape(h, h.shape[1:]), index), (1, index.size, h.shape[2]))
             h = relu(conv1d(h, p[f"conv{i}_w"], p[f"conv{i}_b"], padding=pad))

@@ -36,7 +36,8 @@ class ShapeMismatchError(ProtoAudioError):
 
 
 class NonFiniteValueError(ProtoAudioError):
-    """An op produced NaN/Inf while checked mode was active."""
+    """An op produced NaN/Inf while checked mode was active, or a training
+    step's loss or gradient was non-finite (train()'s guard; exit 4)."""
 
 
 class NonScalarLossError(ProtoAudioError):
@@ -64,7 +65,8 @@ class InsufficientClassesError(ProtoAudioError):
 
 
 class InsufficientExamplesError(ProtoAudioError):
-    """A class has fewer clips than n_shot + n_query; names the class."""
+    """A class has fewer clips than n_shot + n_query (names the class), or a
+    synthetic corpus was asked for fewer than one clip per class."""
 
 
 # -- dataset kit -----------------------------------------------------------

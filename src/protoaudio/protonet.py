@@ -21,7 +21,7 @@ from .diffcore import (
     as_tensor,
     cross_entropy,
     mean_pool,
-    neg,
+    mul_scalar,
     reshape,
     softmax,
     squared_euclidean,
@@ -132,7 +132,7 @@ def classify(query_embedding, prototypes) -> Tensor:
             f"query {query_embedding.shape if hasattr(query_embedding, 'shape') else '?'} "
             f"vs prototypes {protos.shape}"
         )
-    probs = softmax(neg(squared_euclidean(q, protos)))
+    probs = softmax(mul_scalar(squared_euclidean(q, protos), -1.0))
     return reshape(probs, (protos.shape[0],)) if single else probs
 
 
@@ -145,7 +145,7 @@ def prototype_logits(support_embeddings, query_embeddings) -> Tensor:
         raise DimensionMismatchError(
             f"queries {queries.shape} vs prototypes {protos.shape}"
         )
-    return neg(squared_euclidean(queries, protos))
+    return mul_scalar(squared_euclidean(queries, protos), -1.0)
 
 
 def episode_loss(support_embeddings, query_embeddings, query_labels):

@@ -18,11 +18,13 @@ from protoaudio.datasetkit import (
     make_splits,
     select_single_label_subset,
 )
+from protoaudio.diffcore.ops import sinc_cutoffs
 from protoaudio.dsp import FrontendConfig, extract_features, frame_signal, mel_scale
 from protoaudio.encoders import EncoderSpec, build_encoder
 from protoaudio.protonet import classify, compute_prototypes
 from protoaudio.training import InputCache, TrainConfig, evaluate, train
 
+import reference_ops as rops
 from test_dsp import safe_tone_frequencies, tone_argmax_oracle
 from test_training import StubEncoder, stub_loader, stub_split
 
@@ -37,8 +39,25 @@ def verdict(name: str, ok: bool, detail: str = "") -> None:
 # -- criterion 1: gradient suite -----------------------------------------------------
 
 
+SINC_FLOOR = 0.01
+
+
+def sinc_parameters(rng):
+    """Raw cutoff parameters (θ_low, θ_band) of 5 filters in random order and
+    signs: 2 unclamped, 1 with f2 clamped at 0.5, 1 with f1 clamped at
+    0.5 - floor (and so f2 too), and 1 of either kind. Every input stays
+    >= 0.01 (1000 h) away from the kinks of |·| at 0 and of both clamps."""
+    sat_f1 = (rng.uniform(0.5, 0.7), rng.uniform(0.02, 0.2))
+    sat_f2 = (rng.uniform(0.25, 0.35), rng.uniform(0.3, 0.4))
+    rows = np.array([rng.uniform(0.02, 0.2, size=2), rng.uniform(0.02, 0.2, size=2),
+                     sat_f2, sat_f1, (sat_f1, sat_f2)[rng.integers(2)]])
+    rows = rows[rng.permutation(5)] * rng.choice([-1.0, 1.0], size=(5, 2))
+    return [rows[:, 0].copy(), rows[:, 1].copy()]
+
+
 def op_instances(rng):
-    """Ten randomized gradcheck instances for every differentiable op."""
+    """Ten randomized gradcheck instances for every differentiable op and
+    every test-local op."""
     u = lambda *s: rng.uniform(-2.0, 2.0, size=s)
     off = lambda *s: rng.uniform(0.2, 2.0, size=s) * rng.choice([-1.0, 1.0], size=s)
     pos = lambda *s: rng.uniform(0.4, 3.0, size=s)
@@ -76,14 +95,12 @@ def op_instances(rng):
             ("mul", dc.mul, [u(r, c), u(r, c)]),
             ("add_scalar", lambda a: dc.add_scalar(a, 0.73), [u(r, c)]),
             ("mul_scalar", lambda a: dc.mul_scalar(a, -1.9), [u(r, c)]),
-            ("neg", dc.neg, [u(r, c)]),
             ("matmul", dc.matmul, [u(r, c), u(c, dims(2, 4))]),
             ("relu", dc.relu, [off(r, c)]),
-            ("sigmoid", dc.sigmoid, [u(r, c)]),
-            ("tanh", dc.tanh, [u(r, c)]),
+            ("sigmoid", rops.sigmoid, [u(r, c)]),
+            ("tanh", rops.tanh, [u(r, c)]),
             ("absval", dc.absval, [off(r, c)]),
             ("log", dc.log, [pos(r, c)]),
-            ("clip", lambda a: dc.clip(a, -1.0, 1.0), [off(r, c) * 0.45]),
             ("sum_all", dc.sum_all, [u(r, c)]),
             ("mean_pool", lambda a: dc.mean_pool(a, 0), [u(rows, c)]),
             ("mean_pool", lambda a: dc.mean_pool(a, 1), [u(2, r, c)]),
@@ -91,10 +108,9 @@ def op_instances(rng):
              lambda a, lens=(2, rows - 3, 1): dc.segment_mean(a, lens), [u(rows, c)]),
             ("concat", lambda a, b: dc.concat([a, b], axis=0), [u(r, c), u(dims(1, 4), c)]),
             ("reshape", lambda a: dc.reshape(a, (a.size,)), [u(r, c)]),
-            ("transpose", dc.transpose, [u(r, c)]),
             ("slice_rows",
              lambda a, hi=rows - 1: dc.slice_rows(a, 1, hi), [u(rows, c)]),
-            ("pad_rows", lambda a, t=pad_to: dc.pad_rows(a, t), [u(rows, c)]),
+            ("pad_rows", lambda a, t=pad_to: rops.pad_rows(a, t), [u(rows, c)]),
             ("gather_rows",
              lambda a, i=gather_index: dc.gather_rows(a, i), [u(rows, c)]),
             ("softmax", dc.softmax, [u(r, c)]),
@@ -116,8 +132,8 @@ def op_instances(rng):
             ("max_pool1d", lambda x: dc.max_pool1d(x, 2), [spread((2, dims(6, 9), 2))]),
             ("max_pool2d", lambda x: dc.max_pool2d(x, 2), [spread((2, 4, 2 * dims(2, 4), 2))]),
             ("sinc_kernel",
-             lambda f1, f2: dc.sinc_kernel(f1, f2, 13, np.hamming(13)),
-             [rng.uniform(0.01, 0.2, size=3), rng.uniform(0.25, 0.49, size=3)]),
+             lambda tl, tb: dc.sinc_kernel(tl, tb, SINC_FLOOR, 13, np.hamming(13)),
+             sinc_parameters(rng)),
             ("lstm_sequence",
              lambda x, wh, lens=lstm_lens: dc.lstm_sequence(x, wh, lens),
              [u(sum(lstm_lens), 4 * hidden), u(hidden, 4 * hidden)]),
@@ -133,16 +149,21 @@ def test_criterion_gradient_suite():
     start = time.monotonic()
     worst = 0.0
     counts = {}
+    clamped = 0     # sinc_kernel instances with a clamped filter
     for name, fn, arrays in op_instances(rng):
         worst = max(worst, dc.gradcheck(fn, arrays, rng, h=1e-5,
                                         rel_tol=1e-4, abs_tol=1e-6))
         counts[name] = counts.get(name, 0) + 1
+        if name == "sinc_kernel":
+            clamped += not all(free.all() for free in sinc_cutoffs(*arrays, SINC_FLOOR)[2:])
     elapsed = time.monotonic() - start
-    missing = [op for op in dc.DIFFERENTIABLE_OPS if counts.get(op, 0) < 10]
+    missing = [op for op in dc.DIFFERENTIABLE_OPS + rops.TEST_OPS if counts.get(op, 0) < 10]
     verdict(
-        "gradient suite: every op, 10 finite-difference instances, rel err < 1e-4",
-        not missing and elapsed < 120.0,
-        f"{sum(counts.values())} checks, worst err ratio {worst:.3f}, {elapsed:.1f}s"
+        "gradient suite: every op and test-local op, 10 finite-difference instances, "
+        "rel err < 1e-4",
+        not missing and clamped >= 10 and elapsed < 120.0,
+        f"{sum(counts.values())} checks, {clamped} with clamped sinc filters, "
+        f"worst err ratio {worst:.3f}, {elapsed:.1f}s"
         + (f", missing {missing}" if missing else ""),
     )
 

@@ -282,6 +282,17 @@ def test_synth_command_counts(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("per_class", ["0", "-3"])
+def test_synth_fewer_than_one_clip_per_class_exits_3(tmp_path, per_class, capsys):
+    out_dir = tmp_path / "synth_corpus"
+    assert main(["synth", "--out", str(out_dir), "--classes", "2",
+                 "--per-class", per_class]) == 3
+    captured = capsys.readouterr()
+    assert f"clips_per_class={per_class} must be >= 1" in captured.err
+    assert "wrote" not in captured.out
+    assert not out_dir.exists()
+
+
 def test_synth_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PROTOAUDIO_SEED", "abc")
     out_dir = tmp_path / "synth_corpus"

@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import gc
 import math
@@ -19,12 +20,15 @@ from protoaudio.diffcore import ops
 from protoaudio.diffcore.ops import _finish, _matmul_add
 from protoaudio.diffcore.tensor import _keep_freed_memory_mapped
 from protoaudio.errors import (
+    ConfigError,
     CorruptCheckpointError,
     NonFiniteValueError,
     NonScalarLossError,
     ShapeMismatchError,
     TapeConsumedError,
 )
+
+import reference_ops as rops
 
 
 def t64(a, grad=True):
@@ -77,7 +81,7 @@ def test_gradient_accumulates_across_fanout():
     def run(double):
         x = t64([[0.3, -0.7], [1.2, 0.4]])
         with dc.Tape():
-            y = dc.tanh(dc.mul(x, x))
+            y = rops.tanh(dc.mul(x, x))
             loss = dc.sum_all(dc.add(y, y)) if double else dc.sum_all(y)
             dc.backward(loss)
         return x.grad
@@ -144,7 +148,7 @@ def test_backward_frees_tape_without_cyclic_gc():
     gc.disable()
     try:
         with dc.Tape() as tape:
-            h = dc.tanh(dc.matmul(t64([[1.0, 2.0], [3.0, 4.0]], grad=False), w))
+            h = rops.tanh(dc.matmul(t64([[1.0, 2.0], [3.0, 4.0]], grad=False), w))
             loss = dc.cross_entropy(h, np.array([0, 1]))
             grads = dc.backward(loss)
         alive = weakref.ref(tape)
@@ -775,23 +779,20 @@ def gradcheck_cases(rng):
         ("mul", dc.mul, [u(4, 3), u(4, 3)]),
         ("add_scalar", lambda a: dc.add_scalar(a, 1.7), [u(3, 3)]),
         ("mul_scalar", lambda a: dc.mul_scalar(a, -2.3), [u(3, 3)]),
-        ("neg", dc.neg, [u(2, 3)]),
         ("matmul", dc.matmul, [u(3, 4), u(4, 2)]),
         ("relu", dc.relu, [off(4, 4)]),
-        ("sigmoid", dc.sigmoid, [u(3, 5)]),
-        ("tanh", dc.tanh, [u(3, 5)]),
+        ("sigmoid", rops.sigmoid, [u(3, 5)]),
+        ("tanh", rops.tanh, [u(3, 5)]),
         ("absval", dc.absval, [off(4, 3)]),
         ("log", dc.log, [pos(3, 4)]),
-        ("clip", lambda a: dc.clip(a, -1.0, 1.0), [off(5, 3) * 0.9]),
         ("sum_all", dc.sum_all, [u(3, 4)]),
         ("mean_pool0", lambda a: dc.mean_pool(a, 0), [u(4, 3)]),
         ("mean_pool1", lambda a: dc.mean_pool(a, 1), [u(2, 5, 3)]),
         ("segment_mean", lambda a: dc.segment_mean(a, [2, 3, 1]), [u(6, 4)]),
         ("concat", lambda a, b: dc.concat([a, b], axis=0), [u(2, 3), u(4, 3)]),
         ("reshape", lambda a: dc.reshape(a, (6, 2)), [u(3, 4)]),
-        ("transpose", dc.transpose, [u(3, 5)]),
         ("slice_rows", lambda a: dc.slice_rows(a, 1, 4), [u(6, 3)]),
-        ("pad_rows", lambda a: dc.pad_rows(a, 7), [u(4, 3)]),
+        ("pad_rows", lambda a: rops.pad_rows(a, 7), [u(4, 3)]),
         ("softmax", dc.softmax, [u(4, 5)]),
         ("squared_euclidean", dc.squared_euclidean, [u(4, 3), u(5, 3)]),
         ("cross_entropy", lambda a: dc.cross_entropy(a, np.array([0, 2, 1])), [u(3, 4)]),
@@ -811,9 +812,9 @@ def gradcheck_cases(rng):
          [u(2, 6, 5, 2), u(3, 2, 2, 3), u(3)]),
         ("max_pool1d", lambda x: dc.max_pool1d(x, 2), [spread(rng, (2, 7, 3))]),
         ("max_pool2d", lambda x: dc.max_pool2d(x, 2), [spread(rng, (2, 4, 6, 3))]),
-        ("sinc_kernel",
-         lambda f1, f2: dc.sinc_kernel(f1, f2, 15, np.hamming(15)),
-         [rng.uniform(0.02, 0.2, size=4), rng.uniform(0.25, 0.45, size=4)]),
+        ("sinc_kernel",      # the last filter has f1 clamped, the one before f2
+         lambda tl, tb: dc.sinc_kernel(tl, tb, 0.01, 15, np.hamming(15)),
+         [np.array([0.05, -0.12, 0.3, -0.6]), np.array([-0.1, 0.2, 0.35, 0.05])]),
         ("lstm_sequence", lambda x, wh: dc.lstm_sequence(x, wh, [2, 4, 1]),
          [u(7, 12), u(3, 12)]),
     ]
@@ -833,9 +834,119 @@ def test_gradcheck_every_op_smoke():
     for name, fn, arrays in gradcheck_cases(rng):
         dc.gradcheck(fn, arrays, rng)
         names.add(name)
-    # every declared differentiable op appears at least once
-    for op in dc.DIFFERENTIABLE_OPS:
+    # every declared differentiable op and test-local op appears at least once
+    for op in dc.DIFFERENTIABLE_OPS + rops.TEST_OPS:
         assert any(n == op or n.startswith(op) for n in names), f"no gradcheck case for {op}"
+
+
+def test_every_differentiable_op_has_a_caller_in_the_package():
+    """diffcore lists only ops the program runs: every name in
+    DIFFERENTIABLE_OPS is called in the package's source outside
+    diffcore/ops.py and diffcore/__init__.py (gradcheck.py counts)."""
+    package = Path(dc.__file__).resolve().parent.parent
+    defining = {package / "diffcore" / "ops.py", package / "diffcore" / "__init__.py"}
+    called = set()
+    for path in sorted(package.rglob("*.py")):
+        if path in defining:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+    assert sorted(set(dc.DIFFERENTIABLE_OPS) - called) == []
+
+
+# -- sinc_kernel against the clamp chain it took in --------------------------------
+
+
+def chain_clip(a, lo, hi):
+    """The `clip` op of the chain: the gradient passes unclamped entries only."""
+    def bwd(g):
+        return (g * ((a.data >= lo) & (a.data <= hi)),)
+
+    return _finish("clip", (a,), np.clip(a.data, lo, hi), bwd)
+
+
+def chain_transpose(a):
+    def bwd(g):
+        return (g.T,)
+
+    return _finish("transpose", (a,), a.data.T.copy(), bwd)
+
+
+def chain_kernels(f1, f2, kernel_len, window):
+    """The (F, kernel_len) band-pass kernels of clamped cutoffs f1 and f2."""
+    n = (np.arange(kernel_len) - (kernel_len - 1) // 2).astype(f1.dtype)
+    win = np.asarray(window, dtype=f1.dtype)
+
+    def lowpass(f):
+        return 2.0 * f[:, None] * np.sinc(2.0 * f[:, None] * n[None, :])
+
+    def bwd(g):
+        gw = g * win[None, :]
+        two_pi_n = 2.0 * np.pi * n[None, :]
+        d2 = (gw * 2.0 * np.cos(two_pi_n * f2.data[:, None])).sum(axis=1)
+        d1 = -(gw * 2.0 * np.cos(two_pi_n * f1.data[:, None])).sum(axis=1)
+        return d1, d2
+
+    out = (lowpass(f2.data) - lowpass(f1.data)) * win[None, :]
+    return _finish("sinc_kernel", (f1, f2), out, bwd)
+
+
+def chain_sinc_weight(theta_low, theta_band, min_band, kernel_len, window):
+    """SincNet's conv weight as its encoder built it before the clamp moved
+    into `sinc_kernel`: six clamp nodes, the kernels, a transpose and a
+    reshape, with the floor rounded to the parameters' dtype."""
+    floor = float(theta_low.dtype.type(min_band))
+    f1 = chain_clip(dc.absval(theta_low), 0.0, 0.5 - floor)
+    f2 = chain_clip(dc.add(f1, dc.add_scalar(dc.absval(theta_band), floor)), 0.0, 0.5)
+    kernels = chain_transpose(chain_kernels(f1, f2, kernel_len, window))
+    return dc.reshape(kernels, (kernel_len, 1, theta_low.shape[0]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sinc_kernel_matches_clamp_chain(dtype):
+    """Kernels and θ gradients equal those of the clamp chain, kernels and
+    transpose that the op replaced: byte for byte in float32, to 1e-12 of the
+    largest entry in float64. Desk size (64 filters of 251 taps, a 1 Hz floor
+    at 16 kHz), both signs of both parameters, and filters clamped at
+    f1 = 0.5 - floor (one of them exactly there) and at f2 = 0.5."""
+    rng = np.random.default_rng(21)
+    F, K, min_band = 64, 251, 1.0 / 16000
+    theta_low = rng.uniform(0.001, 0.45, size=F)
+    theta_band = rng.uniform(0.001, 0.1, size=F)
+    theta_low[:6] = rng.uniform(0.5, 0.8, size=6)          # f1 clamped, so f2 too
+    theta_band[6:12] = rng.uniform(0.1, 0.6, size=6)
+    theta_low[6:12] = 0.5 - theta_band[6:12] / 2           # f2 clamped
+    theta_low *= rng.choice([-1.0, 1.0], size=F)
+    theta_band *= rng.choice([-1.0, 1.0], size=F)
+    theta_low, theta_band = theta_low.astype(dtype), theta_band.astype(dtype)
+    theta_low[12] = dtype(0.5) - dtype(min_band)           # f1 exactly at its clamp, f2 past
+    window, weights = np.hamming(K), dc.Tensor(rng.standard_normal((K, 1, F)).astype(dtype))
+    results = []
+    for build in (dc.sinc_kernel, chain_sinc_weight):
+        tl, tb = dc.Tensor(theta_low, requires_grad=True), dc.Tensor(theta_band, requires_grad=True)
+        with dc.Tape():
+            w = build(tl, tb, min_band, K, window)
+            grads = dc.backward(dc.sum_all(dc.mul(w, weights)))
+        results.append((w.data, grads[tl].data, grads[tb].data))
+    _, f2, free_low, free_high = ops.sinc_cutoffs(theta_low, theta_band, min_band)
+    assert (~free_low).sum() == 6 and (~free_high).sum() == 13 and np.all(f2[:13] == 0.5)
+    for new, old in zip(*results):
+        assert new.dtype == old.dtype == dtype and new.shape == old.shape
+        if dtype == np.float32:
+            assert new.tobytes() == old.tobytes()
+        else:
+            np.testing.assert_allclose(new, old, rtol=0, atol=1e-12 * np.abs(old).max())
+
+
+def test_sinc_kernel_rejects_bad_shapes():
+    tl = dc.Tensor(np.full(3, 0.1))
+    with pytest.raises(ShapeMismatchError, match="cutoffs"):
+        dc.sinc_kernel(tl, dc.Tensor(np.full(4, 0.1)), 0.01, 5, np.hamming(5))
+    with pytest.raises(ConfigError):
+        dc.sinc_kernel(tl, tl, 0.01, 6, np.hamming(6))
+    with pytest.raises(ShapeMismatchError, match="window"):
+        dc.sinc_kernel(tl, tl, 0.01, 5, np.hamming(7))
 
 
 # -- checkpoint archive ---------------------------------------------------------

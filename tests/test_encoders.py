@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from protoaudio import diffcore as dc
-from protoaudio.audio_io import TimbreProfile, synth_clip
+from protoaudio.audio_io import SAMPLE_RATE, TimbreProfile, synth_clip
 from protoaudio.dsp import FrontendConfig, mel_scale
 from protoaudio.encoders import (
     ComposedSincEncoder,
@@ -15,6 +15,7 @@ from protoaudio.encoders import (
     sinc_init_mel,
     window_count,
 )
+from protoaudio.encoders.sincnet import MIN_BAND_HZ
 from protoaudio.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -23,6 +24,7 @@ from protoaudio.errors import (
 )
 from protoaudio.protonet import episode_loss
 
+import reference_ops as rops
 from test_diffcore import im2col_conv1d
 
 FRONTEND = FrontendConfig()
@@ -133,7 +135,7 @@ def per_clip_windows(enc, maps):
         feats = dc.as_tensor(feats)
         t = feats.shape[0]
         if t < 96:
-            feats = dc.pad_rows(feats, 96)
+            feats = rops.pad_rows(feats, 96)
         starts = [48 * i for i in range(window_count(t))]
         windows += [dc.reshape(dc.slice_rows(feats, s, s + 96), (1, 96, 64, 1)) for s in starts]
         counts.append(len(starts))
@@ -280,7 +282,7 @@ def unrolled_lstm(enc, inputs):
     feats = [dc.as_tensor(item) for item in inputs]
     lengths = [seq.shape[0] for seq in feats]
     steps, n = max(lengths), len(feats)
-    frames = dc.concat([dc.pad_rows(seq, steps) for seq in feats], axis=1)
+    frames = dc.concat([rops.pad_rows(seq, steps) for seq in feats], axis=1)
     p = enc.params
     h = c = dc.Tensor(np.zeros((n, enc.spec.dims.lstm_hidden), dtype=p["wy"].dtype))
     states = []
@@ -289,9 +291,9 @@ def unrolled_lstm(enc, inputs):
         pre = {g: dc.add(dc.add(dc.matmul(x, p[f"wx_{g}"]), dc.matmul(h, p[f"wh_{g}"])),
                          p[f"b_{g}"])
                for g in "ifgo"}
-        i, f, o = (dc.sigmoid(pre[g]) for g in "ifo")
-        c = dc.add(dc.mul(f, c), dc.mul(i, dc.tanh(pre["g"])))
-        h = dc.mul(o, dc.tanh(c))
+        i, f, o = (rops.sigmoid(pre[g]) for g in "ifo")
+        c = dc.add(dc.mul(f, c), dc.mul(i, rops.tanh(pre["g"])))
+        h = dc.mul(o, rops.tanh(c))
         states.append(h)
     proj = dc.add(dc.matmul(dc.concat(states, axis=0), p["wy"]), p["by"])
     weights = np.zeros((n, steps, n), dtype=proj.dtype)
@@ -370,21 +372,24 @@ def test_sinc_init_requires_two_filters():
         sinc_init_mel(1)
 
 
+def band_kernel(f1, f2, window):
+    """The kernel of one band [f1, f2] (cycles/sample), floor 0."""
+    k = dc.sinc_kernel(dc.Tensor(np.array([f1])), dc.Tensor(np.array([f2 - f1])), 0.0,
+                       window.size, window)
+    return k.data[:, 0, 0]
+
+
 def test_sinc_kernel_dc_response_low_f1_limit():
     # f1 -> 0: windowed low-pass; DC response ~ 2 * f2 * sum(window)
     win = np.hamming(251)
     f2 = 1e-5
-    k = dc.sinc_kernel(
-        dc.Tensor(np.array([0.0])), dc.Tensor(np.array([f2])), 251, win
-    ).data[0]
+    k = band_kernel(0.0, f2, win)
     assert abs(k.sum() - 2.0 * f2 * win.sum()) < 1e-6
 
 
 def test_sinc_kernel_center_tap():
     f1, f2 = 0.05, 0.2
-    k = dc.sinc_kernel(
-        dc.Tensor(np.array([f1])), dc.Tensor(np.array([f2])), 251, np.hamming(251)
-    ).data[0]
+    k = band_kernel(f1, f2, np.hamming(251))
     assert np.hamming(251)[125] == 1.0
     assert abs(k[125] - (2 * f2 - 2 * f1)) < 1e-12
 
@@ -392,9 +397,7 @@ def test_sinc_kernel_center_tap():
 def test_sinc_kernel_band_response():
     # FFT-of-kernel oracle: mid-band response beats DC and Nyquist
     f1, f2 = 1000.0 / 16000.0, 2000.0 / 16000.0
-    k = dc.sinc_kernel(
-        dc.Tensor(np.array([f1])), dc.Tensor(np.array([f2])), 251, np.hamming(251)
-    ).data[0]
+    k = band_kernel(f1, f2, np.hamming(251))
     H = np.abs(np.fft.rfft(k, 8192))
     center = int(round(1500.0 / 16000.0 * 8192))
     assert H[center] > H[0]
@@ -449,8 +452,8 @@ def test_clamp_keeps_cutoffs_ordered_after_updates():
         grads = {k: rng.normal(scale=5.0, size=v.data.shape).astype(np.float32)
                  for k, v in thetas.items()}
         dc.adam_step(thetas, grads, state, lr=1e-2)
-        f1, f2 = clamp_cutoffs(thetas["theta_low"].data.astype(np.float64),
-                               thetas["theta_band"].data.astype(np.float64))
+        f1, f2 = clamp_cutoffs(thetas["theta_low"].data, thetas["theta_band"].data)
+        assert f1.dtype == f2.dtype == np.float32
         assert np.all(f1 >= 0.0)
         assert np.all(f1 < f2)
         assert np.all(f2 <= 0.5)
@@ -532,7 +535,7 @@ def per_clip_lstm(enc, feats):
     def gate(name, x, h):
         pre = dc.add(dc.add(dc.matmul(x, p[f"wx_{name}"]), dc.matmul(h, p[f"wh_{name}"])),
                      p[f"b_{name}"])
-        return dc.tanh(pre) if name == "g" else dc.sigmoid(pre)
+        return rops.tanh(pre) if name == "g" else rops.sigmoid(pre)
 
     h = dc.Tensor(np.zeros((1, enc.spec.dims.lstm_hidden), dtype=np.float32))
     c = dc.Tensor(np.zeros((1, enc.spec.dims.lstm_hidden), dtype=np.float32))
@@ -541,20 +544,24 @@ def per_clip_lstm(enc, feats):
         x = dc.slice_rows(feats, t, t + 1)
         gi, gf, gg, go = (gate(g, x, h) for g in "ifgo")
         c = dc.add(dc.mul(gf, c), dc.mul(gi, gg))
-        h = dc.mul(go, dc.tanh(c))
+        h = dc.mul(go, rops.tanh(c))
         outputs.append(dc.add(dc.matmul(h, p["wy"]), p["by"]))
     seq = dc.concat(outputs, axis=0) if len(outputs) > 1 else outputs[0]
     return dc.reshape(dc.mean_pool(seq, 0), (1, enc.spec.dims.lstm_out))
+
+
+def sinc_weight(enc):
+    """The sinc layer's (K, 1, F) conv weight, as its encoder builds it."""
+    p = enc.params
+    return dc.sinc_kernel(p["theta_low"], p["theta_band"], MIN_BAND_HZ / SAMPLE_RATE,
+                          enc.kernel_len, enc._window)
 
 
 def per_clip_sinc_map(enc, samples):
     """(N,) -> time-major (T', 64), with the band-pass kernels rebuilt per clip."""
     x = dc.Tensor(np.asarray(samples, dtype=np.float32))
     n = x.shape[0]
-    f1, f2 = enc._cutoffs()
-    kernels = dc.sinc_kernel(f1, f2, enc.kernel_len, enc._window)
-    w = dc.reshape(dc.transpose(kernels), (enc.kernel_len, 1, enc.n_filters))
-    h = dc.conv1d(dc.reshape(x, (1, n, 1)), w, stride=enc.stride)
+    h = dc.conv1d(dc.reshape(x, (1, n, 1)), sinc_weight(enc), stride=enc.stride)
     h = dc.max_pool1d(dc.log(dc.add_scalar(dc.absval(h), 1e-6)), 2)
     p = enc.params
     h = dc.relu(dc.conv1d(h, p["conv1_w"], p["conv1_b"], padding=enc._pad))
@@ -596,9 +603,7 @@ def im2col_sinc_maps(enc, inputs):
     """The per-clip sinc maps the one-pass layout replaced: band-pass
     kernels built once, then the sinc conv, pool and conv stack run clip by
     clip through the im2col conv1d."""
-    f1, f2 = enc._cutoffs()
-    kernels = dc.sinc_kernel(f1, f2, enc.kernel_len, enc._window)
-    w = dc.reshape(dc.transpose(kernels), (enc.kernel_len, 1, enc.n_filters))
+    w = sinc_weight(enc)
     p = enc.params
     maps = []
     for samples in inputs:
@@ -639,10 +644,11 @@ def test_one_pass_sinc_matches_per_clip_im2col(kind):
 
 def test_sincnet_tape_size_independent_of_clip_count():
     """A desk `sincnet`, `sincnet+vgg` or `sincnet+lstm` forward records as
-    many tape nodes for 5 clips as for 50: the batch runs as one pass, with 3
-    conv1d nodes and 1 max_pool1d, and the head takes the packed maps whole."""
+    many tape nodes for 5 clips as for 50: the batch runs as one pass, with
+    one sinc_kernel node, 3 conv1d nodes and 1 max_pool1d, and the head takes
+    the packed maps whole."""
     rng = np.random.default_rng(16)
-    for kind, most in (("sincnet", 30), ("sincnet+vgg", 60), ("sincnet+lstm", 40)):
+    for kind, nodes in (("sincnet", 19), ("sincnet+vgg", 46), ("sincnet+lstm", 27)):
         enc = make(kind)
         counts = []
         for n_clips in (5, 50):
@@ -651,9 +657,10 @@ def test_sincnet_tape_size_independent_of_clip_count():
             with dc.Tape() as tape:
                 enc.embed_batch(batch)
             ops = [node.op_name for node in tape.nodes]
-            assert (ops.count("conv1d"), ops.count("max_pool1d")) == (3, 1), kind
+            per_op = [ops.count(op) for op in ("sinc_kernel", "conv1d", "max_pool1d")]
+            assert per_op == [1, 3, 1], kind
             counts.append(len(ops))
-        assert counts[0] == counts[1] < most, (kind, counts)
+        assert counts == [nodes, nodes], (kind, counts)
 
 
 @pytest.mark.parametrize("kind", ["vgg", "lstm", "sincnet", "sincnet+vgg", "sincnet+lstm"])

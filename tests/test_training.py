@@ -206,7 +206,7 @@ def reference_score_episode(embeddings, episode):
     support = np.stack([np.stack([embeddings[p] for p in block]) for block in episode.support])
     queries = dc.Tensor(np.stack([embeddings[p] for p in episode.query_paths()]))
     labels = episode.query_labels()
-    logits = dc.neg(dc.squared_euclidean(queries, compute_prototypes(support)))
+    logits = dc.mul_scalar(dc.squared_euclidean(queries, compute_prototypes(support)), -1.0)
     dc.cross_entropy(logits, labels)
     return float(np.mean(np.argmax(logits.data, axis=1) == labels))
 
