@@ -32,11 +32,17 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
     """One bias-corrected Adam update, in place on params; advances state by 1.
 
-    Every parameter must have a gradient of matching shape.
+    Every parameter must have a gradient of matching shape. m, v and the
+    parameter are updated in place through one pair of scratch buffers the
+    size of the largest parameter, so a step makes no array per parameter.
+    The operations and their order are those of the expressions in the
+    comments, so each value rounds as they do; m and v keep their dtype.
     """
     t = state.step + 1
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
+    largest = max((p.data.size for p in params.values()), default=0)
+    scratch = {}                                 # dtype -> (2, largest)
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -52,10 +58,21 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
             raise ShapeMismatchError(
                 f"adam_step: {name!r} state {m.shape}/{v.shape} vs param {p.data.shape}"
             )
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
+        if m.dtype not in scratch:
+            scratch[m.dtype] = np.empty((2, largest), dtype=m.dtype)
+        a, b = (row[:m.size].reshape(m.shape) for row in scratch[m.dtype])
+        np.multiply(m, beta1, out=m)             # m = beta1 * m + (1 - beta1) * g
+        np.multiply(g, 1.0 - beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, beta2, out=v)             # v = beta2 * v + (1 - beta2) * (g * g)
+        np.multiply(g, g, out=a)
+        np.multiply(a, 1.0 - beta2, out=a)
+        np.add(v, a, out=v)
+        np.multiply(m, lr / bc1, out=a)          # p -= (lr / bc1) * m / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, eps, out=b)
+        np.divide(a, b, out=a)
+        p.data -= a
     state.step = t
     return params, state

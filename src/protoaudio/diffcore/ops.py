@@ -325,34 +325,43 @@ def _matmul_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 # -- recurrence ------------------------------------------------------------------
 
-def lstm_sequence(x_proj, wh, lengths: Sequence[int]) -> Tensor:
+def lstm_sequence(x, wx, b, wh, lengths: Sequence[int]) -> Tensor:
     """LSTM hidden states of consecutive clips of `lengths` rows each.
 
-    x_proj (N, 4H) holds every frame's gate pre-activations without the
-    recurrent term, gates in the order i, f, g, o; wh (H, 4H) is the
-    recurrent weight. Returns the hidden states (N, H) in x_proj's row order,
-    each clip starting from h = c = 0.
+    x (N, D) holds every clip's input frames, one clip after another; wx
+    (D, 4H), b (4H,) and wh (H, 4H) are the input weight, bias and recurrent
+    weight, gates in the order i, f, g, o. Returns the hidden states (N, H)
+    in x's row order, each clip starting from h = c = 0.
 
-    The rows are scattered once into a time-major (T, B, 4H) buffer with the
-    clips longest first, so the n_t clips still running at step t are its
-    first n_t rows: each step is one (n_t, H) @ (H, 4H) GEMM, as with packed
+    The rows are scattered once into a time-major (T·B, D) buffer with the
+    clips longest first, so the n_t clips still running at step t are the
+    first n_t rows of that step. One GEMM writes the input projection of that
+    buffer straight into the (T, B, 4H) gate buffer (Appleyard, Kočiský &
+    Blunsom 2016), so no (N, 4H) array is made; each step then adds b and
+    one (n_t, H) @ (H, 4H) recurrent GEMM to its running rows, as with packed
     sequences. The gate activations overwrite the buffer in place, and c,
     tanh(c) and h are kept per step. The backward is analytic BPTT; it
     overwrites the buffer with the gate gradients, so it runs once. Rows of
-    finished clips stay zero, so d wh is one (T·B, H)ᵀ @ (T·B, 4H) GEMM.
+    finished clips stay zero in every buffer, so d wx, d b and d wh are each
+    one pass over the time-major rows, and d x one GEMM gathered back.
     """
-    x_proj, wh = as_tensor(x_proj), as_tensor(wh)
+    x, wx, b, wh = as_tensor(x), as_tensor(wx), as_tensor(b), as_tensor(wh)
     lens = np.asarray(lengths, dtype=np.int64)
     if wh.ndim != 2 or wh.data.shape[1] != 4 * wh.data.shape[0]:
         raise ShapeMismatchError(f"lstm_sequence: wh {wh.data.shape} is not (H, 4H)")
     H = wh.data.shape[0]
-    if x_proj.ndim != 2 or x_proj.data.shape[1] != 4 * H:
+    if wx.ndim != 2 or wx.data.shape[1] != 4 * H:
         raise ShapeMismatchError(
-            f"lstm_sequence: x_proj {x_proj.data.shape} vs (N, {4 * H}) for wh {wh.data.shape}"
+            f"lstm_sequence: wx {wx.data.shape} vs (D, {4 * H}) for wh {wh.data.shape}"
         )
-    if lens.ndim != 1 or lens.size == 0 or np.any(lens < 1) or lens.sum() != x_proj.data.shape[0]:
+    if b.data.shape != (4 * H,):
+        raise ShapeMismatchError(f"lstm_sequence: b {b.data.shape} vs ({4 * H},)")
+    D = wx.data.shape[0]
+    if x.ndim != 2 or x.data.shape[1] != D:
+        raise ShapeMismatchError(f"lstm_sequence: x {x.data.shape} vs (N, {D}) for wx")
+    if lens.ndim != 1 or lens.size == 0 or np.any(lens < 1) or lens.sum() != x.data.shape[0]:
         raise ShapeMismatchError(
-            f"lstm_sequence: lengths {list(lengths)} do not tile {x_proj.data.shape[0]} rows"
+            f"lstm_sequence: lengths {list(lengths)} do not tile {x.data.shape[0]} rows"
         )
     B, T = lens.size, int(lens.max())
     slot = np.empty(B, dtype=np.int64)                         # clips longest first
@@ -360,10 +369,12 @@ def lstm_sequence(x_proj, wh, lengths: Sequence[int]) -> Tensor:
     running = (lens[None, :] > np.arange(T)[:, None]).sum(axis=1)     # n_t
     starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
     # flat (t, slot) buffer row of every input row
-    rows = (np.arange(x_proj.data.shape[0]) - np.repeat(starts, lens)) * B + np.repeat(slot, lens)
-    dtype = np.result_type(x_proj.dtype, wh.dtype)
-    gates = np.zeros((T, B, 4 * H), dtype=dtype)
-    gates.reshape(T * B, 4 * H)[rows] = x_proj.data
+    rows = (np.arange(x.data.shape[0]) - np.repeat(starts, lens)) * B + np.repeat(slot, lens)
+    dtype = np.result_type(x.dtype, wx.dtype, b.dtype, wh.dtype)
+    xs = np.zeros((T * B, D), dtype=dtype)
+    xs[rows] = x.data
+    gates = np.empty((T, B, 4 * H), dtype=dtype)
+    np.matmul(xs, wx.data, out=gates.reshape(T * B, 4 * H))
     # h[t + 1] and c[t + 1] are the state after step t; h[0] = c[0] = 0
     h = np.zeros((T + 1, B, H), dtype=dtype)
     c = np.zeros((T + 1, B, H), dtype=dtype)
@@ -371,6 +382,7 @@ def lstm_sequence(x_proj, wh, lengths: Sequence[int]) -> Tensor:
     for t in range(T):
         n = running[t]
         z = gates[t, :n]
+        z += b.data                    # before h @ wh, rounding as (x @ wx + b) + h @ wh
         if t:
             z += h[t, :n] @ wh.data
         i, f, g, o = (z[:, k * H:(k + 1) * H] for k in range(4))
@@ -390,6 +402,7 @@ def lstm_sequence(x_proj, wh, lengths: Sequence[int]) -> Tensor:
         dz_all, gates = gates, None     # step t's gate gradients overwrite its activations
         dh_in = np.zeros((T, B, H), dtype=dtype)
         dh_in.reshape(T * B, H)[rows] = gout
+        wh_t = np.ascontiguousarray(wh.data.T)
         dh_rec = dc_rec = np.zeros((0, H), dtype=dtype)   # from step t + 1 into step t
         for t in range(T - 1, -1, -1):
             n, m = running[t], dh_rec.shape[0]
@@ -413,14 +426,16 @@ def lstm_sequence(x_proj, wh, lengths: Sequence[int]) -> Tensor:
             dc_rec = dc * f
             np.multiply(dz, act_grad, out=z)
             if t:
-                dh_rec = z @ wh.data.T
-        dx = dz_all.reshape(T * B, 4 * H)[rows] if x_proj.requires_grad else None
+                dh_rec = z @ wh_t
+        dz_rows = dz_all.reshape(T * B, 4 * H)
+        dx = (dz_rows @ wx.data.T)[rows] if x.requires_grad else None
+        dwx = xs.T @ dz_rows if wx.requires_grad else None
+        db = dz_rows.sum(axis=0) if b.requires_grad else None
         # d wh = Σ_t h_tᵀ dz_t, where h_t is the state step t starts from
-        dwh = (h[:-1].reshape(T * B, H).T @ dz_all.reshape(T * B, 4 * H)
-               if wh.requires_grad else None)
-        return dx, dwh
+        dwh = h[:-1].reshape(T * B, H).T @ dz_rows if wh.requires_grad else None
+        return dx, dwx, db, dwh
 
-    return _finish("lstm_sequence", (x_proj, wh), out, bwd)
+    return _finish("lstm_sequence", (x, wx, b, wh), out, bwd)
 
 
 # -- classification head -------------------------------------------------------

@@ -41,12 +41,11 @@ class LstmEncoder(FrameEncoder):
 
     def embed_rows(self, rows: Tensor, lengths: Sequence[int]) -> Tensor:
         """(Σ T_b, n_mels) packed frames -> (B, out). The per-gate weights are
-        joined along the gate axis (order i, f, g, o), the input projection is
-        one GEMM over every frame of the batch, and `lstm_sequence` runs the
-        recurrence of all clips at once; nothing is padded."""
+        joined along the gate axis (order i, f, g, o), and `lstm_sequence`
+        runs the input projection and the recurrence of all clips at once;
+        nothing is padded."""
         p = self.params
         wx, wh = (concat([p[f"{w}_{g}"] for g in _GATES], axis=1) for w in ("wx", "wh"))
         b = concat([p[f"b_{g}"] for g in _GATES])
-        x_proj = add(matmul(rows, wx), b)                                # (N, 4H)
-        states = lstm_sequence(x_proj, wh, lengths)                     # (N, H)
+        states = lstm_sequence(rows, wx, b, wh, lengths)                # (N, H)
         return segment_mean(add(matmul(states, p["wy"]), p["by"]), lengths)

@@ -135,11 +135,11 @@ def op_instances(rng):
              lambda tl, tb: dc.sinc_kernel(tl, tb, SINC_FLOOR, 13, np.hamming(13)),
              sinc_parameters(rng)),
             ("lstm_sequence",
-             lambda x, wh, lens=lstm_lens: dc.lstm_sequence(x, wh, lens),
-             [u(sum(lstm_lens), 4 * hidden), u(hidden, 4 * hidden)]),
+             lambda x, wx, b, wh, lens=lstm_lens: dc.lstm_sequence(x, wx, b, wh, lens),
+             [u(sum(lstm_lens), c), u(c, 4 * hidden), u(4 * hidden), u(hidden, 4 * hidden)]),
             ("lstm_sequence",
-             lambda x, wh, lens=(single_len,): dc.lstm_sequence(x, wh, lens),
-             [u(single_len, 4 * hidden), u(hidden, 4 * hidden)]),
+             lambda x, wx, b, wh, lens=(single_len,): dc.lstm_sequence(x, wx, b, wh, lens),
+             [u(single_len, c), u(c, 4 * hidden), u(4 * hidden), u(hidden, 4 * hidden)]),
         ]
     return cases
 

@@ -299,13 +299,30 @@ def test_matmul_frozen_input_skips_its_gradient():
     ((5, 8), (2, 8), [5, 0]),            # empty clip
     ((5, 8), (2, 8), [6, -1]),           # negative length
     ((5, 8), (2, 8), []),                # no clips
-    ((5, 6), (2, 8), [5]),               # x_proj not (N, 4H)
+    ((5, 6), (2, 8), [5]),               # x has 6 columns, wx 8 rows
     ((5, 8), (2, 6), [5]),               # wh not (H, 4H)
-    ((5, 8, 1), (2, 8), [5]),            # x_proj not 2-D
+    ((5, 8, 1), (2, 8), [5]),            # x not 2-D
 ])
 def test_lstm_sequence_rejects_bad_shapes(x_shape, wh_shape, lengths):
+    """x (N, 8) frames against wx (8, 4H) and b (4H,), H from wh."""
+    gates = 4 * wh_shape[0]
     with pytest.raises(ShapeMismatchError):
-        dc.lstm_sequence(np.zeros(x_shape), np.zeros(wh_shape), lengths)
+        dc.lstm_sequence(np.zeros(x_shape), np.zeros((8, gates)), np.zeros(gates),
+                         np.zeros(wh_shape), lengths)
+
+
+@pytest.mark.parametrize("wx_shape,b_shape", [
+    ((6, 8), (8,)),                      # wx rows are not x's 5 columns
+    ((5, 6), (8,)),                      # wx not (D, 4H)
+    ((5, 8, 1), (8,)),                   # wx not 2-D
+    ((5, 8), (6,)),                      # b not (4H,)
+    ((5, 8), (1, 8)),                    # b not 1-D
+])
+def test_lstm_sequence_rejects_bad_input_weights(wx_shape, b_shape):
+    """x (4, 5) frames of clips [3, 1] with wh (2, 8)."""
+    with pytest.raises(ShapeMismatchError):
+        dc.lstm_sequence(np.zeros((4, 5)), np.zeros(wx_shape), np.zeros(b_shape),
+                         np.zeros((2, 8)), [3, 1])
 
 
 def test_lstm_sequence_backward_runs_once():
@@ -313,7 +330,7 @@ def test_lstm_sequence_backward_runs_once():
     raises rather than returning wrong gradients."""
     rng = np.random.default_rng(14)
     with dc.Tape() as tape:
-        out = dc.lstm_sequence(t64(rng.standard_normal((5, 8))), t64(rng.standard_normal((2, 8))),
+        out = dc.lstm_sequence(*(t64(rng.standard_normal(s)) for s in ((5, 3), (3, 8), 8, (2, 8))),
                                [3, 2])
     node = tape.nodes[-1]
     node.backward_fn(np.ones(out.shape))
@@ -764,6 +781,49 @@ def test_adam_shape_mismatch():
         dc.adam_step(p, {}, st, lr=1e-3)
 
 
+def allocating_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """`adam_step` as it was before it updated in place: new m and v arrays
+    and a temporary per sub-expression."""
+    t = state.step + 1
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = np.asarray(grads[name])
+        m = beta1 * state.m[name] + (1.0 - beta1) * g
+        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
+        state.m[name] = m
+        state.v[name] = v
+        p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
+    state.step = t
+
+
+@pytest.mark.parametrize("kind", ["vgg", "lstm", "sincnet", "sincnet+vgg", "sincnet+lstm"])
+def test_adam_in_place_matches_allocating_step(kind):
+    """Five steps over a desk encoder's parameters leave parameters, m and v
+    byte-equal to the allocating update, and m and v stay the same arrays."""
+    from protoaudio import EncoderSpec, FrontendConfig, build_encoder
+
+    params = build_encoder(EncoderSpec(kind, "desk"), FrontendConfig(), seed=4).params
+    ref = {name: dc.Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+    state, ref_state = dc.AdamState.for_params(params), dc.AdamState.for_params(ref)
+    moments = [id(a) for a in (*state.m.values(), *state.v.values())]
+    rng = np.random.default_rng(21)
+    for step in range(5):
+        grads = {}
+        for name, p in params.items():
+            g = rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-8, 1, size=p.shape)
+            grads[name] = np.where(rng.random(p.shape) < 0.1, 0.0, g).astype(p.dtype)
+        dc.adam_step(params, grads, state, lr=10.0 ** -(step + 1))
+        allocating_adam_step(ref, grads, ref_state, lr=10.0 ** -(step + 1))
+    assert state.step == ref_state.step == 5
+    assert [id(a) for a in (*state.m.values(), *state.v.values())] == moments
+    for name, p in params.items():
+        for got, want in ((p.data, ref[name].data), (state.m[name], ref_state.m[name]),
+                          (state.v[name], ref_state.v[name])):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+
+
 # -- finite-difference gradient checks (compact here; the full 10-instance
 #    sweep lives in the acceptance suite) ---------------------------------------
 
@@ -815,8 +875,8 @@ def gradcheck_cases(rng):
         ("sinc_kernel",      # the last filter has f1 clamped, the one before f2
          lambda tl, tb: dc.sinc_kernel(tl, tb, 0.01, 15, np.hamming(15)),
          [np.array([0.05, -0.12, 0.3, -0.6]), np.array([-0.1, 0.2, 0.35, 0.05])]),
-        ("lstm_sequence", lambda x, wh: dc.lstm_sequence(x, wh, [2, 4, 1]),
-         [u(7, 12), u(3, 12)]),
+        ("lstm_sequence", lambda x, wx, b, wh: dc.lstm_sequence(x, wx, b, wh, [2, 4, 1]),
+         [u(7, 5), u(5, 12), u(12), u(3, 12)]),
     ]
     return cases
 
