@@ -15,7 +15,6 @@ import numpy as np
 from .errors import CorruptContainerError, InvalidProfileError, UnsupportedFormatError
 
 SAMPLE_RATE = 16000
-NYQUIST_HZ = SAMPLE_RATE / 2
 
 # PCM16 <-> float scaling uses the symmetric-negative convention: sample -32768
 # maps to exactly -1.0 and all positives stay strictly below +1.0.
@@ -90,8 +89,8 @@ class TimbreProfile:
 def load_wav(path) -> Waveform:
     """Read a RIFF/WAVE file; must be 16-bit PCM, mono, 16 kHz."""
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"no such audio file: {p}")
+    if not p.is_file():
+        raise FileNotFoundError(f"no audio file at {p}")
     try:
         with wave.open(str(p), "rb") as wf:
             channels = wf.getnchannels()
@@ -111,6 +110,9 @@ def load_wav(path) -> Waveform:
         raise CorruptContainerError(f"{p}: not a valid WAVE container ({exc})") from exc
     except EOFError as exc:
         raise CorruptContainerError(f"{p}: truncated WAVE container") from exc
+    if len(raw) < 2 * n:
+        raise CorruptContainerError(
+            f"{p}: truncated data chunk ({len(raw)} bytes for {n} samples)")
     ints = np.frombuffer(raw, dtype="<i2")
     return Waveform(ints.astype(np.float32) / PCM16_SCALE)
 

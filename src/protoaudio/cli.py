@@ -8,6 +8,7 @@ config seed for any command that uses one.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,21 +27,7 @@ from .datasetkit import (
 from .diffcore.checkpoint import write_atomic
 from .dsp import FrontendConfig, extract_features, save_features
 from .encoders import EncoderSpec, build_encoder
-from .errors import (
-    CheckpointMismatchError,
-    ConfigError,
-    CorruptCheckpointError,
-    CorruptContainerError,
-    InsufficientClassesError,
-    InsufficientExamplesError,
-    KernelTooLongError,
-    ManifestError,
-    MissingRunError,
-    NonFiniteValueError,
-    ShapeMismatchError,
-    TooFewClassesError,
-    UnsupportedFormatError,
-)
+from .errors import ConfigError, MissingRunError, ProtoAudioError
 from .training import (
     TrainConfig,
     evaluate,
@@ -52,36 +39,16 @@ from .training import (
     train,
 )
 
-_DATA_ERRORS = (
-    FileNotFoundError,
-    ManifestError,
-    UnsupportedFormatError,
-    CorruptContainerError,
-    TooFewClassesError,
-    InsufficientClassesError,
-    InsufficientExamplesError,
-    MissingRunError,
-    CheckpointMismatchError,
-    CorruptCheckpointError,
-    KernelTooLongError,
-)
+_EXIT_LABELS = {2: "config", 3: "data", 4: "numerical"}
 
+# The run keys, then TrainConfig's fields with their defaults.
 CONFIG_DEFAULTS = {
     "encoder": "vgg",
     "scale": "desk",
     "manifest": "",
     "split_ratios": "0.6,0.2,0.2",
     "min_per_class": "10",
-    "n_shot": "5",
-    "k_way": "5",
-    "q_query": "5",
-    "max_episodes": "25000",
-    "eval_interval": "500",
-    "patience_checks": "10",
-    "lr": "1e-5",
-    "test_episodes": "1000",
-    "val_episodes": "200",
-    "seed": "0",
+    **{f.name: str(f.default) for f in dataclasses.fields(TrainConfig)},
 }
 
 
@@ -105,33 +72,33 @@ def effective_seed(values: dict) -> int:
     env = os.environ.get("PROTOAUDIO_SEED")
     raw = env if env is not None else values["seed"]
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise ConfigError(f"seed {raw!r} is not an integer") from exc
+    if seed < 0:
+        raise ConfigError(f"seed {seed} must be >= 0")
+    return seed
 
 
 def build_train_config(values: dict) -> TrainConfig:
-    try:
-        return TrainConfig(
-            n_shot=int(values["n_shot"]),
-            k_way=int(values["k_way"]),
-            q_query=int(values["q_query"]),
-            max_episodes=int(values["max_episodes"]),
-            eval_interval=int(values["eval_interval"]),
-            patience_checks=int(values["patience_checks"]),
-            lr=float(values["lr"]),
-            test_episodes=int(values["test_episodes"]),
-            val_episodes=int(values["val_episodes"]),
-            seed=effective_seed(values),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value in config: {exc}") from exc
+    kwargs = {"seed": effective_seed(values)}
+    for f in dataclasses.fields(TrainConfig):
+        if f.name not in kwargs:
+            try:
+                kwargs[f.name] = type(f.default)(values[f.name])
+            except ValueError as exc:
+                raise ConfigError(f"bad {f.name} {values[f.name]!r} in config") from exc
+    return TrainConfig(**kwargs)
 
 
 def load_run_config(path: Path) -> dict:
-    if not path.exists():
-        raise ConfigError(f"no such config file: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"))
+    if not path.is_file():
+        raise ConfigError(f"no config file at {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc})") from exc
+    return parse_config_text(text)
 
 
 def resolve_splits(values: dict, cfg: TrainConfig):
@@ -193,9 +160,9 @@ def cmd_eval(args) -> int:
     run = Path(args.run)
     snapshot = run / "config.snapshot"
     ckpt = run / "best.ckpt"
-    if not snapshot.exists() or not ckpt.exists():
+    if not snapshot.is_file() or not ckpt.is_file():
         raise MissingRunError(f"{run}: missing config.snapshot or best.ckpt")
-    values = parse_config_text(snapshot.read_text(encoding="utf-8"))
+    values = load_run_config(snapshot)
     cfg = build_train_config(values)
     spec = EncoderSpec(values["encoder"], values["scale"])
     split = resolve_splits(values, cfg)
@@ -291,18 +258,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. A bad input prints one `<kind> error: ...` line and
+    returns its exit code; the path errors count as data errors (3)."""
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except (NonFiniteValueError, ShapeMismatchError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
+    except (ProtoAudioError, FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
+        code = getattr(exc, "exit_code", 3)
+        if code is None:
+            raise
+        print(f"{_EXIT_LABELS[code]} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

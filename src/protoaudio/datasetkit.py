@@ -44,10 +44,6 @@ class Manifest:
         return sorted({label for e in self.entries for label in e.labels})
 
     @property
-    def class_index(self) -> dict:
-        return {c: i for i, c in enumerate(self.classes)}
-
-    @property
     def is_single_label(self) -> bool:
         return all(len(e.labels) == 1 for e in self.entries)
 
@@ -67,12 +63,16 @@ class Manifest:
 
 def load_manifest(path) -> Manifest:
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"no such manifest: {p}")
+    if not p.is_file():
+        raise FileNotFoundError(f"no manifest file at {p}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{p} is not UTF-8 text ({exc})") from exc
     base = p.parent
     entries = []
     seen = set()
-    for line_no, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         if "\t" not in raw:

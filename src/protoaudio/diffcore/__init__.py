@@ -30,13 +30,13 @@ from .ops import (
     squared_euclidean,
     sum_all,
 )
-from .tensor import Tape, Tensor, as_tensor, backward, checked_mode, parameter
+from .tensor import Tape, Tensor, as_tensor, backward, checked_mode
 
 __all__ = [
     "AdamState", "adam_step", "save_archive", "load_archive",
     "GradcheckFailure", "gradcheck",
     "DIFFERENTIABLE_OPS",
-    "Tape", "Tensor", "as_tensor", "backward", "checked_mode", "parameter",
+    "Tape", "Tensor", "as_tensor", "backward", "checked_mode",
     "absval", "add", "add_scalar", "concat", "conv1d", "conv2d",
     "cross_entropy", "gather_rows", "log", "lstm_sequence", "matmul", "max_pool1d", "max_pool2d",
     "mean_pool", "mul", "mul_scalar", "relu", "reshape",

@@ -103,11 +103,6 @@ def as_tensor(x, dtype=None) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
-def parameter(data, dtype=np.float32) -> Tensor:
-    """A learnable leaf."""
-    return Tensor(np.array(data, dtype=dtype), requires_grad=True)
-
-
 class Node:
     __slots__ = ("op_name", "inputs", "output", "backward_fn")
 

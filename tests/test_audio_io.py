@@ -60,6 +60,15 @@ def test_load_rejects_garbage(tmp_path):
         load_wav(path)
 
 
+@pytest.mark.parametrize("cut", [1, 100])
+def test_load_rejects_truncated_data_chunk(tone_wav, cut):
+    """A data chunk holding fewer bytes than its header's frame count: half a
+    sample short (an odd byte count) or 50 whole samples short."""
+    tone_wav.write_bytes(tone_wav.read_bytes()[:-cut])
+    with pytest.raises(CorruptContainerError, match="truncated data chunk"):
+        load_wav(tone_wav)
+
+
 def test_pcm16_scaling_convention(tmp_path):
     # oracle: value / 32768 by hand
     path = tmp_path / "extremes.wav"

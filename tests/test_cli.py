@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from protoaudio.audio_io import Waveform, load_wav, write_wav
-from protoaudio.cli import main, parse_config_text
+from protoaudio import errors
+from protoaudio.cli import CONFIG_DEFAULTS, build_train_config, main, parse_config_text
 from protoaudio.datasetkit import gen_synthetic_corpus, load_manifest
 from protoaudio.diffcore import load_archive
 from protoaudio.dsp import load_features
 from protoaudio.errors import ConfigError
-from protoaudio.training import load_history
+from protoaudio.training import TrainConfig, load_history
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +301,121 @@ def test_synth_non_integer_env_seed_exits_2(tmp_path, monkeypatch, capsys):
                  "--per-class", "2"]) == 2
     assert "'abc'" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def fake_run(tmp_path, snapshot: bytes):
+    """A run directory whose snapshot is `snapshot`; eval reads the manifest
+    before it opens the (empty) checkpoint."""
+    run = tmp_path / "fake_run"
+    run.mkdir()
+    (run / "config.snapshot").write_bytes(snapshot)
+    (run / "best.ckpt").write_bytes(b"")
+    return run
+
+
+def truncated_wav(tmp_path, corpus):
+    path = tmp_path / "short.wav"
+    path.write_bytes(Path(load_manifest(corpus).entries[0].path).read_bytes()[:-101])
+    return path
+
+
+NOT_UTF8 = "latin1.txt"  # holds "manifest = café" in Latin-1
+
+# id, exit code, PROTOAUDIO_SEED, argv(tmp_path, corpus)
+BAD_INPUTS = [
+    ("train-config-dir", 2, None,
+     lambda t, c: ["train", "--config", str(t / "dir"), "--out", str(t / "r")]),
+    ("train-config-not-utf8", 2, None,
+     lambda t, c: ["train", "--config", str(t / NOT_UTF8), "--out", str(t / "r")]),
+    ("train-manifest-dir", 3, None,
+     lambda t, c: ["train", "--config", str(write_config(t, t / "dir")), "--out", str(t / "r")]),
+    ("train-manifest-not-utf8", 3, None,
+     lambda t, c: ["train", "--config", str(write_config(t, t / NOT_UTF8)),
+                   "--out", str(t / "r")]),
+    ("train-out-file", 3, None,
+     lambda t, c: ["train", "--config", str(write_config(t, c)), "--out", str(t / "file")]),
+    ("train-config-seed-negative", 2, None,
+     lambda t, c: ["train", "--config", str(write_config(t, c, seed="-1")),
+                   "--out", str(t / "r")]),
+    ("train-env-seed-negative", 2, "-1",
+     lambda t, c: ["train", "--config", str(write_config(t, c)), "--out", str(t / "r")]),
+    ("eval-snapshot-not-utf8", 2, None,
+     lambda t, c: ["eval", "--run", str(fake_run(t, (t / NOT_UTF8).read_bytes()))]),
+    ("eval-manifest-dir", 3, None,
+     lambda t, c: ["eval", "--run", str(fake_run(t, f"manifest = {t / 'dir'}\n".encode()))]),
+    ("eval-manifest-not-utf8", 3, None,
+     lambda t, c: ["eval", "--run", str(fake_run(t, f"manifest = {t / NOT_UTF8}\n".encode()))]),
+    ("subset-manifest-dir", 3, None,
+     lambda t, c: ["subset", "--manifest", str(t / "dir"), "--classes", "1"]),
+    ("subset-manifest-not-utf8", 3, None,
+     lambda t, c: ["subset", "--manifest", str(t / NOT_UTF8), "--classes", "1"]),
+    ("features-wav-dir", 3, None,
+     lambda t, c: ["features", "--wav", str(t / "dir"), "--out", str(t / "f.lmel")]),
+    ("features-wav-truncated", 3, None,
+     lambda t, c: ["features", "--wav", str(truncated_wav(t, c)), "--out", str(t / "f.lmel")]),
+    ("synth-out-file", 3, None,
+     lambda t, c: ["synth", "--out", str(t / "file"), "--classes", "2", "--per-class", "2"]),
+    ("synth-env-seed-negative", 2, "-1",
+     lambda t, c: ["synth", "--out", str(t / "s"), "--classes", "2", "--per-class", "2"]),
+    ("synth-seed-negative", 2, None,
+     lambda t, c: ["synth", "--out", str(t / "s"), "--classes", "2", "--per-class", "2",
+                   "--seed", "-1"]),
+]
+
+
+@pytest.mark.parametrize("code,env_seed,argv", [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_exits_with_its_code_and_one_line(tmp_path, corpus, monkeypatch, capsys,
+                                                    code, env_seed, argv):
+    """Directories where files belong, text that is not UTF-8, a truncated
+    WAV, an existing file as the output directory and negative seeds each end
+    in one `<kind> error:` line on stderr and their exit code."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("x\n")
+    (tmp_path / NOT_UTF8).write_bytes("manifest = café\n".encode("latin-1"))
+    if env_seed is None:
+        monkeypatch.delenv("PROTOAUDIO_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PROTOAUDIO_SEED", env_seed)
+    assert main(argv(tmp_path, corpus)) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith({2: "config error: ", 3: "data error: "}[code])
+    assert "Traceback" not in captured.err
+    assert "wrote" not in captured.out
+    assert not (tmp_path / "s").exists()
+
+
+PROGRAM_FAULTS = {errors.NonScalarLossError, errors.TapeConsumedError, errors.DomainError,
+                  errors.InvalidProfileError}
+
+
+def test_every_error_class_has_an_exit_code_or_is_a_program_fault():
+    """The CLI's exit code for an error is the class's `exit_code`; None (a
+    program fault, left to end in a traceback) only for the four named here."""
+    seen, todo = set(), [errors.ProtoAudioError]
+    while todo:
+        cls = todo.pop()
+        seen.add(cls)
+        todo.extend(cls.__subclasses__())
+    seen.discard(errors.ProtoAudioError)
+    assert PROGRAM_FAULTS < seen
+    for cls in seen:
+        if cls in PROGRAM_FAULTS:
+            assert cls.exit_code is None, cls.__name__
+        else:
+            assert cls.exit_code in {2, 3, 4}, cls.__name__
+
+
+def test_config_defaults_are_train_config_defaults(monkeypatch):
+    monkeypatch.delenv("PROTOAUDIO_SEED", raising=False)
+    assert build_train_config(parse_config_text("manifest = m.tsv")) == TrainConfig()
+    assert list(CONFIG_DEFAULTS) == [
+        "encoder", "scale", "manifest", "split_ratios", "min_per_class", "n_shot", "k_way",
+        "q_query", "max_episodes", "eval_interval", "patience_checks", "lr", "test_episodes",
+        "val_episodes", "seed",
+    ]
 
 
 def test_bad_flags_exit_2():

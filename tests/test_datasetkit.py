@@ -43,7 +43,6 @@ def test_load_well_formed(tmp_path):
     m = load_manifest(path)
     assert len(m) == 3
     assert m.classes == ["cat", "dog"]
-    assert m.class_index == {"cat": 0, "dog": 1}
     assert not m.is_single_label
 
 

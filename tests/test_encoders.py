@@ -293,6 +293,16 @@ def sliced_maps(sinc, inputs):
     return [dc.slice_rows(rows, int(end - t), int(end)) for end, t in zip(ends, lengths)]
 
 
+def set_nonzero_lstm_biases(enc, seed):
+    """Seeded nonzero values for the LSTM's `b_*` and `by`, which start at
+    zero, so an equivalence test sees what the biases add and receive."""
+    rng = np.random.default_rng(seed)
+    for name, p in enc.params.items():
+        leaf = name.rsplit("/", 1)[-1]
+        if leaf.startswith("b_") or leaf == "by":
+            p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
+
+
 def unrolled_lstm(enc, inputs):
     """The padded, per-gate `embed_batch` that `lstm_sequence` replaced: clips
     zero-padded to the longest, one step of four gate GEMM pairs per frame,
@@ -328,6 +338,7 @@ def test_lstm_sequence_matches_unrolled_encoder(kind):
     enc = make(kind, seed=3)
     for p in enc.params.values():
         p.data = p.data.astype(np.float64)
+    set_nonzero_lstm_biases(enc, seed=23)
     rng = np.random.default_rng(13)
     steps = (37, 1, 118, 96)
     if kind == "lstm":
@@ -606,6 +617,7 @@ def test_batched_forward_matches_per_clip_gradients(kind):
     enc = make(kind, seed=2)
     for p in enc.params.values():
         p.data = p.data.astype(np.float64)
+    set_nonzero_lstm_biases(enc, seed=22)
     rng = np.random.default_rng(12)
     if kind == "lstm":
         inputs = [rand_feats(rng, t) for t in (1, 37, 96, 118)]
