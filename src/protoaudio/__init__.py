@@ -22,7 +22,7 @@ from .training import (
     EvalReport,
     InputCache,
     TrainConfig,
-    TrainResult,
+    Trainer,
     evaluate,
     restore_encoder,
     save_encoder_checkpoint,
@@ -38,7 +38,7 @@ __all__ = [
     "FrontendConfig", "build_mel_filterbank", "extract_features",
     "EncoderSpec", "build_encoder",
     "Episode", "classify", "compute_prototypes", "episode_loss", "sample_episode",
-    "EvalReport", "InputCache", "TrainConfig", "TrainResult",
+    "EvalReport", "InputCache", "TrainConfig", "Trainer",
     "evaluate", "restore_encoder", "save_encoder_checkpoint", "train",
     "__version__",
 ]

@@ -35,8 +35,7 @@ from .training import (
     render_eval_table,
     restore_encoder,
     save_encoder_checkpoint,
-    save_history,
-    train,
+    Trainer,
 )
 
 _EXIT_LABELS = {2: "config", 3: "data", 4: "numerical"}
@@ -133,26 +132,27 @@ def cmd_train(args) -> int:
     print(f"training {spec.kind} ({spec.scale}) seed={cfg.seed} "
           f"{cfg.n_shot}-shot {cfg.k_way}-way")
 
-    def progress(ep, loss, train_acc, val_acc):
-        if val_acc is not None:
-            print(f"episode {ep}: loss {loss:.4f} val_accuracy {val_acc:.4f}")
-
-    result = train(encoder, split.train, split.val, cfg, progress=progress)
-    save_history(run / "history.jsonl", result.history)
+    trainer = Trainer(encoder, split.train, split.val, cfg)
+    with open(run / "history.jsonl", "w", encoding="utf-8") as history:
+        while not trainer.done:
+            r = trainer.step()
+            print(r.to_json(), file=history, flush=True)
+            if r.val_accuracy is not None:
+                print(f"episode {r.episode}: loss {r.loss:.4f} val_accuracy {r.val_accuracy:.4f}")
     meta = {
         "seed": cfg.seed,
-        "episode": result.best_episode,
-        "val_accuracy": result.best_val_accuracy,
+        "episode": trainer.best_episode,
+        "val_accuracy": trainer.best_val_accuracy,
     }
-    save_encoder_checkpoint(run / "best.ckpt", encoder, params=result.best_params,
+    save_encoder_checkpoint(run / "best.ckpt", encoder, params=trainer.best_params,
                             extra_meta=meta)
     save_encoder_checkpoint(run / "last.ckpt", encoder,
-                            extra_meta={**meta, "episode": result.episodes_run})
-    stop = "early stop" if result.stopped_early else "max episodes"
-    print(f"done after {result.episodes_run} episodes ({stop}); "
+                            extra_meta={**meta, "episode": trainer.episodes_run})
+    stop = "early stop" if trainer.stopped_early else "max episodes"
+    print(f"done after {trainer.episodes_run} episodes ({stop}); "
           f"best val_accuracy "
-          f"{'n/a' if result.best_val_accuracy is None else f'{result.best_val_accuracy:.4f}'} "
-          f"at episode {result.best_episode}")
+          f"{'n/a' if trainer.best_val_accuracy is None else f'{trainer.best_val_accuracy:.4f}'} "
+          f"at episode {trainer.best_episode}")
     return 0
 
 
@@ -263,7 +263,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ProtoAudioError, FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
+    except (ProtoAudioError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError) as exc:
         code = getattr(exc, "exit_code", 3)
         if code is None:
             raise

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
@@ -15,7 +15,6 @@ import numpy as np
 
 from .audio_io import load_wav
 from .diffcore import AdamState, Tape, adam_step, backward, load_archive, save_archive
-from .diffcore.checkpoint import write_atomic
 from .diffcore.ops import reshape, slice_rows
 from .encoders import Encoder, EncoderSpec, build_encoder
 from .errors import CheckpointMismatchError, ConfigError, NonFiniteValueError, ShapeMismatchError
@@ -61,10 +60,6 @@ class MetricRecord:
              "val_accuracy": self.val_accuracy, "timestamp": self.timestamp},
             sort_keys=True,
         )
-
-
-def save_history(path, history: Sequence[MetricRecord]) -> None:
-    write_atomic(path, "".join(r.to_json() + "\n" for r in history).encode("utf-8"))
 
 
 def load_history(path) -> list:
@@ -117,16 +112,6 @@ class EvalReport:
             "ci95": [round(self.ci95_low, 6), round(self.ci95_high, 6)],
             "n_episodes": self.n_episodes,
         }
-
-
-@dataclass
-class TrainResult:
-    best_params: dict
-    best_val_accuracy: Optional[float]
-    best_episode: int
-    episodes_run: int
-    stopped_early: bool
-    history: list = field(default_factory=list)
 
 
 def _now() -> str:
@@ -216,47 +201,53 @@ def evaluate(encoder: Encoder, cache: InputCache,
                              sample_episodes(split, cfg, n_episodes, f"{seed}/eval"))
 
 
-def train(encoder: Encoder, train_split: Mapping[str, Sequence[str]],
-          val_split: Mapping[str, Sequence[str]], cfg: TrainConfig,
-          loader: Callable = load_wav,
-          val_metric: Optional[Callable] = None,
-          progress: Optional[Callable] = None) -> TrainResult:
-    """Sample episode -> embed -> loss -> backward -> Adam, with periodic
-    validation checks and early stopping. A non-finite loss or gradient
-    raises NonFiniteValueError naming the episode, before Adam applies it.
+class Trainer:
+    """One training run, stepped an episode at a time: sample -> embed -> loss
+    -> backward -> Adam, with periodic validation checks and early stopping.
 
     Every eval_interval episodes, validation accuracy is measured on a fixed
     batch of cfg.val_episodes episodes (pre-sampled once from a dedicated seed
     stream). The first check sets the incumbent; a check counts against
-    patience unless strictly greater than the incumbent. Training stops after
+    patience unless strictly greater than the incumbent. The run is done after
     patience_checks consecutive non-improving checks or at max_episodes.
     val_metric, if given, replaces the validation evaluator (used for protocol
     tests); it receives (encoder, episode_index).
     """
-    cache = InputCache(encoder, loader)
-    state = AdamState.for_params(encoder.params)
-    rng_ep = random.Random(f"{cfg.seed}/episodes")
-    val_episodes: Optional[list] = None
-    history: list = []
-    best_acc: Optional[float] = None
-    best_params: Optional[dict] = None
-    best_episode = 0
-    bad_checks = 0
-    stopped_early = False
-    episodes_run = 0
-    kn = cfg.k_way * cfg.n_shot
 
-    def validation_accuracy(ep: int) -> float:
-        nonlocal val_episodes
-        if val_metric is not None:
-            return float(val_metric(encoder, ep))
-        if val_episodes is None:
-            val_episodes = sample_episodes(val_split, cfg, cfg.val_episodes, f"{cfg.seed}/val")
-        return evaluate_episodes(encoder, cache, val_episodes).mean_accuracy
+    def __init__(self, encoder: Encoder, train_split: Mapping[str, Sequence[str]],
+                 val_split: Mapping[str, Sequence[str]], cfg: TrainConfig,
+                 loader: Callable = load_wav, val_metric: Optional[Callable] = None):
+        self.encoder = encoder
+        self.train_split = train_split
+        self.val_split = val_split
+        self.cfg = cfg
+        self.val_metric = val_metric
+        self.cache = InputCache(encoder, loader)
+        self.adam = AdamState.for_params(encoder.params)
+        self.rng = random.Random(f"{cfg.seed}/episodes")
+        self.val_episodes: Optional[list] = None
+        self.history: list = []
+        self.episodes_run = 0
+        self.train_accuracy: Optional[float] = None   # of the last episode
+        self.best_val_accuracy: Optional[float] = None
+        self.best_params: Optional[dict] = None
+        self.best_episode = 0
+        self.bad_checks = 0
+        self.stopped_early = False
 
-    for ep in range(1, cfg.max_episodes + 1):
-        episode = sample_episode(train_split, cfg.n_shot, cfg.k_way, cfg.q_query, rng_ep)
-        inputs = [cache.get(p) for p in episode.support_paths() + episode.query_paths()]
+    @property
+    def done(self) -> bool:
+        return self.stopped_early or self.episodes_run >= self.cfg.max_episodes
+
+    def step(self) -> MetricRecord:
+        """Runs the next episode and any validation check due; returns its record, also
+        appended to history. A non-finite loss or gradient raises NonFiniteValueError
+        naming the episode, before Adam applies it. With no check, best is the last state."""
+        cfg, encoder = self.cfg, self.encoder
+        ep = self.episodes_run + 1
+        kn = cfg.k_way * cfg.n_shot
+        episode = sample_episode(self.train_split, cfg.n_shot, cfg.k_way, cfg.q_query, self.rng)
+        inputs = [self.cache.get(p) for p in episode.support_paths() + episode.query_paths()]
         # A step that overflows is reported below, by episode and parameter;
         # numpy's warnings from inside the ops would only precede that report.
         with Tape(), np.errstate(over="ignore", invalid="ignore"):
@@ -264,7 +255,7 @@ def train(encoder: Encoder, train_split: Mapping[str, Sequence[str]],
             support = reshape(slice_rows(embs, 0, kn),
                               (cfg.k_way, cfg.n_shot, encoder.embed_dim))
             queries = slice_rows(embs, kn, embs.shape[0])
-            loss, train_acc = episode_loss(support, queries, episode.query_labels())
+            loss, self.train_accuracy = episode_loss(support, queries, episode.query_labels())
             grad_map = backward(loss)
         grads = {
             name: grad_map[p].data if p in grad_map else np.zeros_like(p.data)
@@ -275,31 +266,44 @@ def train(encoder: Encoder, train_split: Mapping[str, Sequence[str]],
         if bad or not math.isfinite(loss_value):
             raise NonFiniteValueError(f"episode {ep}: loss {loss_value}"
                                       + (f", non-finite gradient of {bad[0]}" if bad else ""))
-        adam_step(encoder.params, grads, state, cfg.lr)
-        episodes_run = ep
+        adam_step(encoder.params, grads, self.adam, cfg.lr)
+        self.episodes_run = ep
 
         val_acc: Optional[float] = None
         if ep % cfg.eval_interval == 0:
-            val_acc = validation_accuracy(ep)
-            if best_acc is None or val_acc > best_acc:
-                best_acc = val_acc
-                best_params = encoder.state_dict()
-                best_episode = ep
-                bad_checks = 0
+            if self.val_metric is not None:
+                val_acc = float(self.val_metric(encoder, ep))
             else:
-                bad_checks += 1
-        history.append(MetricRecord(ep, loss_value, val_acc, _now()))
-        if progress is not None:
-            progress(ep, loss_value, train_acc, val_acc)
-        if val_acc is not None and bad_checks >= cfg.patience_checks:
-            stopped_early = True
-            break
+                self.val_episodes = self.val_episodes or sample_episodes(
+                    self.val_split, cfg, cfg.val_episodes, f"{cfg.seed}/val")
+                val_acc = evaluate_episodes(encoder, self.cache, self.val_episodes).mean_accuracy
+            if self.best_val_accuracy is None or val_acc > self.best_val_accuracy:
+                self.best_val_accuracy, self.best_episode = val_acc, ep
+                self.best_params = encoder.state_dict()
+                self.bad_checks = 0
+            else:
+                self.bad_checks += 1
+            self.stopped_early = self.bad_checks >= cfg.patience_checks
+        if self.done and self.best_params is None:
+            self.best_params, self.best_episode = encoder.state_dict(), ep
+        record = MetricRecord(ep, loss_value, val_acc, _now())
+        self.history.append(record)
+        return record
 
-    if best_params is None:
-        best_params = encoder.state_dict()
-        best_episode = episodes_run
-    return TrainResult(best_params, best_acc, best_episode, episodes_run,
-                       stopped_early, history)
+
+def train(encoder: Encoder, train_split: Mapping[str, Sequence[str]],
+          val_split: Mapping[str, Sequence[str]], cfg: TrainConfig,
+          loader: Callable = load_wav,
+          val_metric: Optional[Callable] = None,
+          progress: Optional[Callable] = None) -> Trainer:
+    """Steps a Trainer until it is done and returns it. progress, if given,
+    receives (episode, loss, train_accuracy, val_accuracy) after each episode."""
+    trainer = Trainer(encoder, train_split, val_split, cfg, loader, val_metric)
+    while not trainer.done:
+        record = trainer.step()
+        if progress is not None:
+            progress(record.episode, record.loss, trainer.train_accuracy, record.val_accuracy)
+    return trainer
 
 
 # -- encoder checkpoints -----------------------------------------------------------

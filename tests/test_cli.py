@@ -13,7 +13,7 @@ from protoaudio.datasetkit import gen_synthetic_corpus, load_manifest
 from protoaudio.diffcore import load_archive
 from protoaudio.dsp import load_features
 from protoaudio.errors import ConfigError
-from protoaudio.training import TrainConfig, load_history
+from protoaudio.training import TrainConfig, Trainer, load_history
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,29 @@ def test_train_non_finite_step_exits_4_without_checkpoints(tmp_path, corpus, cap
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["train", "--config", str(config), "--out", str(run)]) == 4
     assert "episode 2" in capsys.readouterr().err
+    assert not (run / "best.ckpt").exists()
+    assert not (run / "last.ckpt").exists()
+    assert [r.episode for r in load_history(run / "history.jsonl")] == [1]
+
+
+def test_interrupted_train_keeps_each_finished_episode_on_disk(tmp_path, corpus, monkeypatch):
+    """history.jsonl gets each episode's line as the episode ends, so a run
+    stopped at episode 5 leaves episodes 1-4 in it, and no checkpoint."""
+    run = tmp_path / "rundir"
+    real_step, seen = Trainer.step, []
+
+    def step(self):
+        if self.episodes_run == 4:
+            seen.append((run / "history.jsonl").read_text(encoding="utf-8"))
+            raise KeyboardInterrupt
+        return real_step(self)
+
+    monkeypatch.setattr(Trainer, "step", step)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--config", str(write_config(tmp_path, corpus)), "--out", str(run)])
+    assert seen == [(run / "history.jsonl").read_text(encoding="utf-8")]
+    assert seen[0].endswith("\n")
+    assert [r.episode for r in load_history(run / "history.jsonl")] == [1, 2, 3, 4]
     assert not (run / "best.ckpt").exists()
     assert not (run / "last.ckpt").exists()
 
@@ -319,6 +342,12 @@ def truncated_wav(tmp_path, corpus):
     return path
 
 
+def run_with_history_dir(tmp_path):
+    run = tmp_path / "r"
+    (run / "history.jsonl").mkdir(parents=True)
+    return run
+
+
 NOT_UTF8 = "latin1.txt"  # holds "manifest = café" in Latin-1
 
 # id, exit code, PROTOAUDIO_SEED, argv(tmp_path, corpus)
@@ -334,6 +363,9 @@ BAD_INPUTS = [
                    "--out", str(t / "r")]),
     ("train-out-file", 3, None,
      lambda t, c: ["train", "--config", str(write_config(t, c)), "--out", str(t / "file")]),
+    ("train-history-dir", 3, None,
+     lambda t, c: ["train", "--config", str(write_config(t, c)),
+                   "--out", str(run_with_history_dir(t))]),
     ("train-config-seed-negative", 2, None,
      lambda t, c: ["train", "--config", str(write_config(t, c, seed="-1")),
                    "--out", str(t / "r")]),
@@ -349,10 +381,14 @@ BAD_INPUTS = [
      lambda t, c: ["subset", "--manifest", str(t / "dir"), "--classes", "1"]),
     ("subset-manifest-not-utf8", 3, None,
      lambda t, c: ["subset", "--manifest", str(t / NOT_UTF8), "--classes", "1"]),
+    ("subset-out-dir", 3, None,
+     lambda t, c: ["subset", "--manifest", str(c), "--classes", "1", "--out", str(t / "dir")]),
     ("features-wav-dir", 3, None,
      lambda t, c: ["features", "--wav", str(t / "dir"), "--out", str(t / "f.lmel")]),
     ("features-wav-truncated", 3, None,
      lambda t, c: ["features", "--wav", str(truncated_wav(t, c)), "--out", str(t / "f.lmel")]),
+    ("features-out-dir", 3, None,
+     lambda t, c: ["features", "--wav", load_manifest(c).entries[0].path, "--out", str(t / "dir")]),
     ("synth-out-file", 3, None,
      lambda t, c: ["synth", "--out", str(t / "file"), "--classes", "2", "--per-class", "2"]),
     ("synth-env-seed-negative", 2, "-1",
@@ -367,9 +403,10 @@ BAD_INPUTS = [
                          ids=[case[0] for case in BAD_INPUTS])
 def test_bad_input_exits_with_its_code_and_one_line(tmp_path, corpus, monkeypatch, capsys,
                                                     code, env_seed, argv):
-    """Directories where files belong, text that is not UTF-8, a truncated
-    WAV, an existing file as the output directory and negative seeds each end
-    in one `<kind> error:` line on stderr and their exit code."""
+    """Directories where files belong (to read or to write), text that is not
+    UTF-8, a truncated WAV, an existing file as the output directory and
+    negative seeds each end in one `<kind> error:` line on stderr and their
+    exit code."""
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("x\n")
     (tmp_path / NOT_UTF8).write_bytes("manifest = café\n".encode("latin-1"))

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from protoaudio.training import (
     restore_encoder,
     sample_episodes,
     save_encoder_checkpoint,
-    save_history,
     score_episode,
+    Trainer,
     train,
 )
 from protoaudio.protonet import compute_prototypes, sample_episode
@@ -130,6 +131,60 @@ def test_non_finite_step_stops_training_at_its_episode():
     it, naming the episode and the parameter."""
     with pytest.raises(NonFiniteValueError, match=r"episode 2: loss nan, .* gradient of w"):
         train(StubEncoder(), stub_split(), stub_split(), tiny_cfg(lr=1e30), loader=stub_loader)
+
+
+def test_trainers_stepped_in_turn_end_as_each_does_alone():
+    """A Trainer owns all of its run's state: two runs stepped alternately
+    end with the history and parameters train() gives each on its own."""
+    cfg = tiny_cfg()
+    alone = [train(StubEncoder(seed), stub_split(), stub_split(), cfg, loader=stub_loader)
+             for seed in (3, 4)]
+    trainers = [Trainer(StubEncoder(seed), stub_split(), stub_split(), cfg, loader=stub_loader)
+                for seed in (3, 4)]
+    while not all(t.done for t in trainers):
+        for t in trainers:
+            if not t.done:
+                t.step()
+    strip = lambda t: [(r.episode, r.loss, r.val_accuracy) for r in t.history]
+    for stepped, lone in zip(trainers, alone):
+        assert strip(stepped) == strip(lone)
+        assert (stepped.best_episode, stepped.episodes_run) == (lone.best_episode,
+                                                                lone.episodes_run)
+        for got, want in ((stepped.encoder.state_dict(), lone.encoder.state_dict()),
+                          (stepped.best_params, lone.best_params)):
+            assert got.keys() == want.keys()
+            for name in got:
+                np.testing.assert_array_equal(got[name], want[name])
+    assert strip(trainers[0]) != strip(trainers[1])
+
+
+def test_train_without_a_check_keeps_the_last_state_as_best():
+    enc = StubEncoder()
+    result = train(enc, stub_split(), stub_split(), tiny_cfg(max_episodes=7), loader=stub_loader)
+    assert (result.best_val_accuracy, result.best_episode, result.episodes_run) == (None, 7, 7)
+    np.testing.assert_array_equal(result.best_params["w"], enc.params["w"].data)
+
+
+def test_trace_seams_of_the_benchmark_see_training(monkeypatch):
+    """perfbench/layertrace.py times training's layers by patching these
+    names in protoaudio.training; a step that bound them anywhere else would
+    read 0 in every per-layer metric."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import layertrace
+    enc = StubEncoder()
+    tracer = layertrace.Tracer()
+    tracer.trace_loop(enc)
+    seen = []   # the values after each episode; episode 2 runs the validation check
+    try:
+        train(enc, stub_split(), stub_split(), tiny_cfg(max_episodes=2, eval_interval=2),
+              loader=stub_loader, progress=lambda *_: seen.append(dict(tracer.values)))
+    finally:
+        tracer.restore()
+    for name in ("protonet.sample_episode_s", "protonet.episode_loss_s", "diffcore.backward_s",
+                 "diffcore.adam_step_s"):
+        assert seen[0].get(name, 0) > 0, name
+    for name in ("training.embed_table_s", "training.score_s"):
+        assert seen[1].get(name, 0) > 0, name
 
 
 def test_config_validation():
@@ -345,27 +400,17 @@ def test_embed_table_matches_direct_embedding():
 
 
 def test_history_round_trip(tmp_path):
+    """The history `protoaudio train` streams, one to_json line per episode,
+    reads back as the records it was written from."""
     records = [
         MetricRecord(1, 1.5, None, "2026-01-01T00:00:00.000+00:00"),
         MetricRecord(2, 1.2, 0.5, "2026-01-01T00:00:01.000+00:00"),
     ]
     path = tmp_path / "history.jsonl"
-    save_history(path, records)
+    path.write_text("".join(r.to_json() + "\n" for r in records), encoding="utf-8")
     loaded = load_history(path)
     assert loaded == records
     assert loaded[0].val_accuracy is None
-
-
-def test_history_write_failing_part_way_keeps_previous_file(tmp_path, disk_full):
-    path = tmp_path / "history.jsonl"
-    save_history(path, [MetricRecord(1, 1.5, None, "2026-01-01T00:00:00.000+00:00")])
-    before = path.read_bytes()
-    disk_full()
-    with pytest.raises(OSError):
-        save_history(path, [MetricRecord(ep, 1.0, 0.5, "2026-01-01T00:00:01.000+00:00")
-                            for ep in range(1, 50)])
-    assert path.read_bytes() == before
-    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_encoder_checkpoint_round_trip(tmp_path):
