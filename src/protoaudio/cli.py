@@ -133,6 +133,10 @@ def cmd_train(args) -> int:
           f"{cfg.n_shot}-shot {cfg.k_way}-way")
 
     trainer = Trainer(encoder, split.train, split.val, cfg)
+    # The previous run's results would not be of this snapshot's model.
+    for stale in [run / "best.ckpt", run / "last.ckpt", *run.glob("eval_*.txt"),
+                  *run.glob("eval_*.json")]:
+        stale.unlink(missing_ok=True)
     with open(run / "history.jsonl", "w", encoding="utf-8") as history:
         while not trainer.done:
             r = trainer.step()

@@ -3,9 +3,10 @@
 An episode is one n-shot k-way task. Class probabilities for a query are the
 softmax of negative squared Euclidean distances to the class prototypes (the
 mean embeddings of each class's support clips). These functions take Tensors
-or plain arrays; training scores through them on a tape, and frozen
-evaluation (training.score_episode) applies the same rule to arrays of
-episodes at once.
+or plain arrays; training scores through them on a tape. Frozen evaluation
+(training.score_episode) scores arrays of episodes at once by inner products,
+and with this module's arithmetic wherever their rounding margin cannot
+certify the argmax, so its accuracies are this rule's, bit for bit.
 """
 
 from __future__ import annotations

@@ -131,17 +131,46 @@ def embed_table(encoder: Encoder, cache: InputCache, paths: Sequence[str],
     return table
 
 
-# Byte budget of the (episodes, k, k·q, d) float64 query-prototype differences
-# score_episode holds at once; it bounds the chunk of episodes scored together.
+# Byte budget of score_episode's largest per-chunk temporary, the float64
+# (episodes, k, n, d) support or (episodes, k·q, d) query gather; it bounds the
+# chunk of episodes scored together. The exact rescoring of episodes the
+# certified margin leaves open holds its (episodes, k, k·q, d) differences to it.
 SCORE_CHUNK_BYTES = 4 << 20
+
+
+def _rescore_episodes(queries: np.ndarray, protos: np.ndarray,
+                      labels: np.ndarray) -> np.ndarray:
+    """Accuracies of (e, k·q, d) queries against (e, k, d) prototypes with the
+    squared distances of protonet.prototype_logits: each query-prototype
+    difference squared and summed, the argmax of their negatives taken with
+    ties to the lowest class."""
+    step = max(1, SCORE_CHUNK_BYTES // (protos.shape[1] * queries[0].nbytes))
+    accuracies = np.empty(len(queries))
+    for s in range(0, len(queries), step):
+        diff = queries[s:s + step, None] - protos[s:s + step, :, None]     # (e, k, k·q, d)
+        distances = np.einsum("ekqd,ekqd->ekq", diff, diff)
+        accuracies[s:s + step] = np.mean(np.argmax(-distances, axis=1) == labels, axis=1)
+    return accuracies
 
 
 def score_episode(embeddings: Mapping[str, np.ndarray],
                   episodes: Sequence[Episode]) -> np.ndarray:
     """Per-episode accuracies of equally shaped episodes against a fixed
     embedding table: the argmax of the prototype logits (Snell, Swersky &
-    Zemel 2017), ties to the lowest class, scored a chunk of episodes at a
-    time with the arithmetic of protonet.prototype_logits."""
+    Zemel 2017), ties to the lowest class, bit for bit as the arithmetic of
+    protonet.prototype_logits decides it.
+
+    A chunk of episodes at a time, the distances are first taken as
+    |q|² − 2·q·p + |p|², with one stacked matmul. By the forward error bound
+    of inner products (Higham 2002, "Accuracy and Stability of Numerical
+    Algorithms", §3.1), that value and protonet's difference-and-square one
+    each lie within γ_{d+2}·(|q| + |p|)² of the exact distance, plus 2⁻¹⁰⁷⁵
+    for each product that underflows; τ adds the two bounds, with slack for
+    its own rounding. A query whose nearest prototype is closer than every
+    other by more than the two classes' τ has that class as the unique
+    argmax of either form. Episodes with any other query (exact or near
+    ties, NaN, overflow) are scored again with protonet's arithmetic.
+    """
     if not episodes:
         raise ConfigError("no episodes to score")
     shapes = {(e.k_way, e.n_shot, e.n_query) for e in episodes}
@@ -150,17 +179,37 @@ def score_episode(embeddings: Mapping[str, np.ndarray],
     [(k, n, q)] = shapes
     row = {p: i for i, p in enumerate(embeddings)}
     table = np.array([embeddings[p] for p in row], dtype=np.float64)          # (N, d)
-    support = np.array([[row[p] for p in e.support_paths()] for e in episodes])
-    support = support.reshape(-1, k, n)                                       # (E, k, n)
-    query = np.array([[row[p] for p in e.query_paths()] for e in episodes])   # (E, k·q)
+    d = table.shape[1]
+    rows = np.fromiter((row[p] for e in episodes for p in e.support_paths() + e.query_paths()),
+                       np.intp, len(episodes) * k * (n + q)).reshape(len(episodes), -1)
+    support = rows[:, :k * n].reshape(-1, k, n)                               # (E, k, n)
+    query = rows[:, k * n:]                                                   # (E, k·q)
     labels = episodes[0].query_labels()
-    chunk = max(1, SCORE_CHUNK_BYTES // (k * q * k * table.shape[1] * 8))
+    squares = np.einsum("nd,nd->n", table, table)                             # |x|² per row
+    # τ = 2·γ_{d+4}·(|q| + |p|)² + floor, with γ_m = m·u / (1 − m·u), u = 2⁻⁵³.
+    # floor covers 2⁻¹⁰⁷⁵ of underflow per product: d each in |q|² and |p|²,
+    # 2d in 2·q·p and d in the difference-and-square sum.
+    gamma = (d + 4) * 2.0 ** -53 / (1 - (d + 4) * 2.0 ** -53)
+    floor = 3 * (d + 4) * 2.0 ** -1074
+    chunk = max(1, SCORE_CHUNK_BYTES // (k * max(n, q) * d * 8))
     accuracies = np.empty(len(episodes))
     for s in range(0, len(episodes), chunk):
         protos = table[support[s:s + chunk]].mean(axis=2)                     # (e, k, d)
-        diff = table[query[s:s + chunk]][:, None] - protos[:, :, None]        # (e, k, k·q, d)
-        distances = np.einsum("ekqd,ekqd->ekq", diff, diff)
-        accuracies[s:s + chunk] = np.mean(np.argmax(-distances, axis=1) == labels, axis=1)
+        queries = table[query[s:s + chunk]]                                   # (e, k·q, d)
+        q_sq = squares[query[s:s + chunk]][:, :, None]
+        p_sq = np.einsum("ekd,ekd->ek", protos, protos)[:, None]
+        # Non-finite values fail the margin test and are left to the exact pass.
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast = q_sq - 2 * np.matmul(queries, protos.transpose(0, 2, 1)) + p_sq   # (e, k·q, k)
+            tau = 2 * gamma * (np.sqrt(q_sq) + np.sqrt(p_sq)) ** 2 + floor
+            best = np.argmin(fast, axis=2)[:, :, None]
+            apart = (fast - np.take_along_axis(fast, best, 2)
+                     > tau + np.take_along_axis(tau, best, 2))
+        scores = np.mean(best[:, :, 0] == labels, axis=1)
+        uncertain = (np.count_nonzero(apart, axis=2) < k - 1).any(axis=1)
+        if uncertain.any():
+            scores[uncertain] = _rescore_episodes(queries[uncertain], protos[uncertain], labels)
+        accuracies[s:s + chunk] = scores
     return accuracies
 
 

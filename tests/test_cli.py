@@ -116,6 +116,20 @@ def test_train_non_finite_step_exits_4_without_checkpoints(tmp_path, corpus, cap
     assert [r.episode for r in load_history(run / "history.jsonl")] == [1]
 
 
+def test_failed_retrain_leaves_no_results_of_the_previous_run(trained_run, corpus, tmp_path):
+    """A re-train into a finished run directory that fails part-way leaves
+    neither the old checkpoints nor the old reports beside its snapshot."""
+    run = tmp_path / "rundir"
+    shutil.copytree(trained_run, run)
+    assert main(["eval", "--run", str(run), "--episodes", "5"]) == 0
+    assert (run / "eval_test.json").exists() and (run / "eval_test.txt").exists()
+    config = write_config(tmp_path, corpus, lr="1e30")
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 4
+    assert not any((run / name).exists() for name in
+                   ("best.ckpt", "last.ckpt", "eval_test.json", "eval_test.txt"))
+    assert main(["eval", "--run", str(run)]) == 3
+
+
 def test_interrupted_train_keeps_each_finished_episode_on_disk(tmp_path, corpus, monkeypatch):
     """history.jsonl gets each episode's line as the episode ends, so a run
     stopped at episode 5 leaves episodes 1-4 in it, and no checkpoint."""

@@ -266,10 +266,35 @@ def reference_score_episode(embeddings, episode):
     return float(np.mean(np.argmax(logits.data, axis=1) == labels))
 
 
+def desk_score_trials():
+    """5-shot 5-way 5-query (k, table, episodes) trials at the desk width d =
+    384, by name: random values, two classes whose clips share one embedding
+    (exact ties), a common offset 1e8 times the spread (|q|² − 2q·p + |p|²
+    cancels to noise), squares that underflow (scale 1e-160), squares of a
+    few subnormal units (1e-161), squares that overflow (1e155), and one NaN
+    row."""
+    rng = np.random.default_rng(6)
+    split = stub_split(7, 12)
+    paths = [p for clips in split.values() for p in clips]
+    normal = {p: rng.normal(size=384) for p in paths}
+    shared = rng.normal(size=384)
+    tables = {
+        "random": normal,
+        "ties": {p: shared if p.startswith(("c0/", "c1/")) else v for p, v in normal.items()},
+        "offset": {p: 1e4 + 1e-4 * v for p, v in normal.items()},
+        "underflow": {p: 1e-160 * v for p, v in normal.items()},
+        "subnormal": {p: 1e-161 * v for p, v in normal.items()},
+        "overflow": {p: 1e155 * v for p, v in normal.items()},
+        "nan": {p: np.full(384, np.nan) if p == "c2/clip3" else v for p, v in normal.items()},
+    }
+    episodes = sample_episodes(split, tiny_cfg(n_shot=5, k_way=5, q_query=5), 20, "6/eval")
+    return {name: (5, table, episodes) for name, table in tables.items()}
+
+
 def score_trials():
-    """30 (k, table, episodes) trials of random shapes and tables: all-equal
+    """37 (k, table, episodes) trials: 30 of random shapes and tables (all-equal
     embeddings, small integers with exact ties, and random values of scales
-    1e-3 to 1e3."""
+    1e-3 to 1e3), then the desk-width ones."""
     rng = np.random.default_rng(4)
     for trial in range(30):
         n, k, q, d = rng.integers(1, 4), rng.integers(2, 6), rng.integers(1, 4), rng.integers(1, 9)
@@ -285,6 +310,7 @@ def score_trials():
             table = {p: scale * rng.normal(size=d) for p in paths}
         yield k, table, [sample_episode(split, n, k, q, random.Random(trial * 100 + i))
                          for i in range(20)]
+    yield from desk_score_trials().values()
 
 
 def test_score_episode_matches_reference_scorer():
@@ -325,8 +351,8 @@ def test_score_episode_chunks_match_reference_scorer(equal):
     episode, and a count that leaves a partial last chunk, score as the
     per-episode reference does, bit for bit."""
     n, k, q, d = 5, 5, 5, 384
-    chunk = training.SCORE_CHUNK_BYTES // (k * q * k * d * 8)
-    assert 1 < chunk < 20
+    chunk = training.SCORE_CHUNK_BYTES // (k * max(n, q) * d * 8)
+    assert 1 < chunk < 100
     split = stub_split(8, 12)
     rng = np.random.default_rng(8)
     table = {p: np.full(d, 0.7) if equal else rng.normal(size=d)
@@ -338,6 +364,24 @@ def test_score_episode_chunks_match_reference_scorer(equal):
         assert np.array(got).tobytes() == query_major_score_episode(table, episodes).tobytes()
         if equal:
             assert got == [1.0 / k] * count
+
+
+def test_only_episodes_within_the_margin_are_rescored(monkeypatch):
+    """The inner-product distances decide every query of a random desk-width
+    table; the exact ties of two classes sharing one embedding are rescored."""
+    rescored = []
+    rescore = training._rescore_episodes
+
+    def counted(queries, protos, labels):
+        rescored.append(len(queries))
+        return rescore(queries, protos, labels)
+
+    monkeypatch.setattr(training, "_rescore_episodes", counted)
+    trials = desk_score_trials()
+    score_episode(*trials["random"][1:])
+    assert sum(rescored) == 0
+    score_episode(*trials["ties"][1:])
+    assert sum(rescored) >= 1
 
 
 def test_evaluate_embeddings_rejects_no_episodes():
