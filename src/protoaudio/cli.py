@@ -74,6 +74,10 @@ def effective_seed(values: dict) -> int:
         seed = int(raw)
     except ValueError as exc:
         raise ConfigError(f"seed {raw!r} is not an integer") from exc
+    return checked_seed(seed)
+
+
+def checked_seed(seed: int) -> int:
     if seed < 0:
         raise ConfigError(f"seed {seed} must be >= 0")
     return seed
@@ -121,22 +125,22 @@ def cmd_train(args) -> int:
     values = load_run_config(config_path)
     cfg = build_train_config(values)
     spec = EncoderSpec(values["encoder"], values["scale"])
+    split = resolve_splits(values, cfg)
     run = Path(args.out)
     run.mkdir(parents=True, exist_ok=True)
     # snapshot before anything else touches the run dir
     write_atomic(run / "config.snapshot",
                  config_path.read_text(encoding="utf-8").encode("utf-8"))
-    split = resolve_splits(values, cfg)
     save_split(split, run / "splits")
+    # The previous run's results would not be of this snapshot's model.
+    for stale in [run / "history.jsonl", run / "best.ckpt", run / "last.ckpt",
+                  *run.glob("eval_*.txt"), *run.glob("eval_*.json")]:
+        stale.unlink(missing_ok=True)
     encoder = build_encoder(spec, FrontendConfig(), seed=cfg.seed)
     print(f"training {spec.kind} ({spec.scale}) seed={cfg.seed} "
           f"{cfg.n_shot}-shot {cfg.k_way}-way")
 
     trainer = Trainer(encoder, split.train, split.val, cfg)
-    # The previous run's results would not be of this snapshot's model.
-    for stale in [run / "best.ckpt", run / "last.ckpt", *run.glob("eval_*.txt"),
-                  *run.glob("eval_*.json")]:
-        stale.unlink(missing_ok=True)
     with open(run / "history.jsonl", "w", encoding="utf-8") as history:
         while not trainer.done:
             r = trainer.step()
@@ -164,6 +168,8 @@ def cmd_eval(args) -> int:
     run = Path(args.run)
     snapshot = run / "config.snapshot"
     ckpt = run / "best.ckpt"
+    if args.seed is not None:
+        checked_seed(args.seed)
     if not snapshot.is_file() or not ckpt.is_file():
         raise MissingRunError(f"{run}: missing config.snapshot or best.ckpt")
     values = load_run_config(snapshot)

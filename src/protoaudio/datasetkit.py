@@ -197,6 +197,8 @@ def select_single_label_subset(manifest: Manifest, m_classes: int,
     """
     if m_classes < 1:
         raise ConfigError(f"subset needs at least 1 class, got {m_classes}")
+    if budget < 0:
+        raise ConfigError(f"subset budget must be >= 0, got {budget}")
     classes = manifest.classes
     if len(classes) < m_classes:
         raise TooFewClassesError(

@@ -5,15 +5,13 @@ from .checkpoint import load_archive, save_archive
 from .gradcheck import GradcheckFailure, gradcheck
 from .ops import (
     DIFFERENTIABLE_OPS,
-    absval,
     add,
-    add_scalar,
     concat,
     conv1d,
     conv2d,
     cross_entropy,
     gather_rows,
-    log,
+    log_abs,
     lstm_sequence,
     matmul,
     max_pool1d,
@@ -37,8 +35,8 @@ __all__ = [
     "GradcheckFailure", "gradcheck",
     "DIFFERENTIABLE_OPS",
     "Tape", "Tensor", "as_tensor", "backward", "checked_mode",
-    "absval", "add", "add_scalar", "concat", "conv1d", "conv2d",
-    "cross_entropy", "gather_rows", "log", "lstm_sequence", "matmul", "max_pool1d", "max_pool2d",
+    "add", "concat", "conv1d", "conv2d",
+    "cross_entropy", "gather_rows", "log_abs", "lstm_sequence", "matmul", "max_pool1d", "max_pool2d",
     "mean_pool", "mul", "mul_scalar", "relu", "reshape",
     "segment_mean", "sinc_kernel", "slice_rows", "softmax",
     "squared_euclidean", "sum_all",

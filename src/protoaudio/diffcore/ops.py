@@ -22,8 +22,8 @@ from .tensor import Tensor, active_tape, as_tensor, guard_finite
 
 # Ops whose gradients the finite-difference suite must cover.
 DIFFERENTIABLE_OPS = (
-    "add", "mul", "add_scalar", "mul_scalar", "matmul", "relu", "absval", "log",
-    "sum_all", "mean_pool", "segment_mean", "concat", "reshape", "slice_rows",
+    "add", "mul", "mul_scalar", "matmul", "relu", "log_abs", "sum_all", "mean_pool",
+    "segment_mean", "concat", "reshape", "slice_rows",
     "gather_rows", "softmax", "squared_euclidean", "cross_entropy",
     "conv1d", "conv2d", "max_pool1d", "max_pool2d", "sinc_kernel", "lstm_sequence",
 )
@@ -73,15 +73,6 @@ def mul(a, b) -> Tensor:
     return _finish("mul", (a, b), a.data * b.data, bwd)
 
 
-def add_scalar(a, c: float) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g):
-        return (g,)
-
-    return _finish("add_scalar", (a,), a.data + c, bwd)
-
-
 def mul_scalar(a, c: float) -> Tensor:
     a = as_tensor(a)
 
@@ -110,25 +101,19 @@ def _sigmoid_(z: np.ndarray) -> None:
     np.reciprocal(z, out=z)
 
 
-def absval(a) -> Tensor:
+def log_abs(a, eps: float) -> Tensor:
+    """log(|a| + eps), SincNet's compression of its band-pass output; the
+    gradient is (g / (|a| + eps)) * sign(a), which is 0 where a is ±0."""
     a = as_tensor(a)
-
-    def bwd(g):
-        return (g * np.sign(a.data),)
-
-    return _finish("absval", (a,), np.abs(a.data), bwd)
-
-
-def log(a) -> Tensor:
-    """Natural log; caller guarantees strictly positive input."""
-    a = as_tensor(a)
+    s = np.abs(a.data)
+    s += eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
+        out = np.log(s)
 
     def bwd(g):
-        return (g / a.data,)
+        return ((g / s) * np.sign(a.data),)
 
-    return _finish("log", (a,), out, bwd)
+    return _finish("log_abs", (a,), out, bwd)
 
 
 # -- reductions & reshapes ---------------------------------------------------
@@ -697,10 +682,9 @@ def sinc_cutoffs(theta_low: np.ndarray, theta_band: np.ndarray, min_band: float)
     return f1, np.minimum(high, 0.5), low <= 0.5 - floor, high <= 0.5
 
 
-def sinc_kernel(theta_low, theta_band, min_band: float, kernel_len: int,
-                window: np.ndarray) -> Tensor:
+def sinc_kernel(theta_low, theta_band, min_band: float, window: np.ndarray) -> Tensor:
     """Band-pass FIR kernels from raw cutoff parameters, in the conv1d weight
-    layout (kernel_len, 1, F).
+    layout (kernel_len, 1, F), where kernel_len is the window's odd length.
 
     The cutoffs are `sinc_cutoffs(θ_low, θ_band, min_band)`, and kernel i is
     (2*f2*sinc(2*pi*f2*n) - 2*f1*sinc(2*pi*f1*n)) * window over centered taps
@@ -711,11 +695,10 @@ def sinc_kernel(theta_low, theta_band, min_band: float, kernel_len: int,
     tl, tb = as_tensor(theta_low), as_tensor(theta_band)
     if tl.ndim != 1 or tl.data.shape != tb.data.shape:
         raise ShapeMismatchError(f"sinc_kernel: cutoffs {tl.data.shape} vs {tb.data.shape}")
-    if kernel_len < 1 or kernel_len % 2 == 0:
-        raise ConfigError(f"sinc_kernel: kernel_len={kernel_len} must be odd")
     win = np.asarray(window, dtype=tl.dtype)
-    if win.shape != (kernel_len,):
-        raise ShapeMismatchError(f"sinc_kernel: window {win.shape} vs ({kernel_len},)")
+    kernel_len = win.size
+    if win.ndim != 1 or kernel_len % 2 == 0:
+        raise ConfigError(f"sinc_kernel: window {win.shape} must have an odd length")
     n = (np.arange(kernel_len) - (kernel_len - 1) // 2).astype(tl.dtype)
     f1, f2, free_low, free_high = sinc_cutoffs(tl.data, tb.data, min_band)
 

@@ -5,7 +5,6 @@ from .base import Encoder, EncoderDims, EncoderSpec, KINDS, SCALES
 from .lstm import LstmEncoder
 from .sincnet import (
     ComposedSincEncoder,
-    SincLayerParams,
     SincNetEncoder,
     clamp_cutoffs,
     sinc_init_mel,
@@ -29,6 +28,6 @@ def build_encoder(spec: EncoderSpec, frontend: FrontendConfig | None = None,
 __all__ = [
     "Encoder", "EncoderDims", "EncoderSpec", "KINDS", "SCALES",
     "LstmEncoder", "SincNetEncoder", "ComposedSincEncoder", "VggEncoder",
-    "SincLayerParams", "sinc_init_mel", "clamp_cutoffs", "window_count",
+    "sinc_init_mel", "clamp_cutoffs", "window_count",
     "build_encoder",
 ]

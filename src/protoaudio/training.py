@@ -255,9 +255,11 @@ class Trainer:
     -> backward -> Adam, with periodic validation checks and early stopping.
 
     Every eval_interval episodes, validation accuracy is measured on a fixed
-    batch of cfg.val_episodes episodes (pre-sampled once from a dedicated seed
-    stream). The first check sets the incumbent; a check counts against
-    patience unless strictly greater than the incumbent. The run is done after
+    batch of cfg.val_episodes episodes, sampled from a dedicated seed stream
+    when the Trainer is built if a check can fall due, so a validation split
+    that cannot hold an episode fails before the first one. The first check
+    sets the incumbent; a check counts against patience unless strictly
+    greater than the incumbent. The run is done after
     patience_checks consecutive non-improving checks or at max_episodes.
     val_metric, if given, replaces the validation evaluator (used for protocol
     tests); it receives (encoder, episode_index).
@@ -274,7 +276,9 @@ class Trainer:
         self.cache = InputCache(encoder, loader)
         self.adam = AdamState.for_params(encoder.params)
         self.rng = random.Random(f"{cfg.seed}/episodes")
-        self.val_episodes: Optional[list] = None
+        self.val_episodes = (
+            sample_episodes(val_split, cfg, cfg.val_episodes, f"{cfg.seed}/val")
+            if val_metric is None and cfg.eval_interval <= cfg.max_episodes else None)
         self.history: list = []
         self.episodes_run = 0
         self.train_accuracy: Optional[float] = None   # of the last episode
@@ -323,8 +327,6 @@ class Trainer:
             if self.val_metric is not None:
                 val_acc = float(self.val_metric(encoder, ep))
             else:
-                self.val_episodes = self.val_episodes or sample_episodes(
-                    self.val_split, cfg, cfg.val_episodes, f"{cfg.seed}/val")
                 val_acc = evaluate_episodes(encoder, self.cache, self.val_episodes).mean_accuracy
             if self.best_val_accuracy is None or val_acc > self.best_val_accuracy:
                 self.best_val_accuracy, self.best_episode = val_acc, ep

@@ -1,7 +1,8 @@
 """Differentiable ops that only the tests' reference encoders use: the
-per-gate LSTM cell's `sigmoid` and `tanh`, and `pad_rows` for padded
-batches. They record onto the tape as the library's ops do, and the
-acceptance suite gradchecks each of them as it does every library op.
+per-gate LSTM cell's `sigmoid` and `tanh`, `pad_rows` for padded batches,
+and the `absval`, `add_scalar` and `log` chain that `log_abs` replaced.
+They record onto the tape as the library's ops do, and the acceptance suite
+gradchecks each of them as it does every library op.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ from protoaudio.diffcore import as_tensor
 from protoaudio.diffcore.ops import _finish, _sigmoid_
 from protoaudio.errors import ShapeMismatchError
 
-TEST_OPS = ("sigmoid", "tanh", "pad_rows")
+TEST_OPS = ("sigmoid", "tanh", "pad_rows", "absval", "add_scalar", "log")
 
 
 def sigmoid(a):
@@ -46,3 +47,33 @@ def pad_rows(a, target_rows: int):
         return (g[:rows],)
 
     return _finish("pad_rows", (a,), np.concatenate([a.data, pad], axis=0), bwd)
+
+
+def absval(a):
+    a = as_tensor(a)
+
+    def bwd(g):
+        return (g * np.sign(a.data),)
+
+    return _finish("absval", (a,), np.abs(a.data), bwd)
+
+
+def add_scalar(a, c: float):
+    a = as_tensor(a)
+
+    def bwd(g):
+        return (g,)
+
+    return _finish("add_scalar", (a,), a.data + c, bwd)
+
+
+def log(a):
+    """Natural log; caller guarantees strictly positive input."""
+    a = as_tensor(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(a.data)
+
+    def bwd(g):
+        return (g / a.data,)
+
+    return _finish("log", (a,), out, bwd)

@@ -93,14 +93,15 @@ def op_instances(rng):
             ("add", dc.add, [u(r, c), u(r, c)]),
             ("add", dc.add, [u(r, c), u(c)]),          # bias broadcast
             ("mul", dc.mul, [u(r, c), u(r, c)]),
-            ("add_scalar", lambda a: dc.add_scalar(a, 0.73), [u(r, c)]),
+            ("add_scalar", lambda a: rops.add_scalar(a, 0.73), [u(r, c)]),
             ("mul_scalar", lambda a: dc.mul_scalar(a, -1.9), [u(r, c)]),
             ("matmul", dc.matmul, [u(r, c), u(c, dims(2, 4))]),
             ("relu", dc.relu, [off(r, c)]),
             ("sigmoid", rops.sigmoid, [u(r, c)]),
             ("tanh", rops.tanh, [u(r, c)]),
-            ("absval", dc.absval, [off(r, c)]),
-            ("log", dc.log, [pos(r, c)]),
+            ("absval", rops.absval, [off(r, c)]),
+            ("log", rops.log, [pos(r, c)]),
+            ("log_abs", lambda a: dc.log_abs(a, 0.05), [off(r, c)]),
             ("sum_all", dc.sum_all, [u(r, c)]),
             ("mean_pool", lambda a: dc.mean_pool(a, 0), [u(rows, c)]),
             ("mean_pool", lambda a: dc.mean_pool(a, 1), [u(2, r, c)]),
@@ -132,7 +133,7 @@ def op_instances(rng):
             ("max_pool1d", lambda x: dc.max_pool1d(x, 2), [spread((2, dims(6, 9), 2))]),
             ("max_pool2d", lambda x: dc.max_pool2d(x, 2), [spread((2, 4, 2 * dims(2, 4), 2))]),
             ("sinc_kernel",
-             lambda tl, tb: dc.sinc_kernel(tl, tb, SINC_FLOOR, 13, np.hamming(13)),
+             lambda tl, tb: dc.sinc_kernel(tl, tb, SINC_FLOOR, np.hamming(13)),
              sinc_parameters(rng)),
             ("lstm_sequence",
              lambda x, wx, b, wh, lens=lstm_lens: dc.lstm_sequence(x, wx, b, wh, lens),

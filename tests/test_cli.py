@@ -130,6 +130,33 @@ def test_failed_retrain_leaves_no_results_of_the_previous_run(trained_run, corpu
     assert main(["eval", "--run", str(run)]) == 3
 
 
+def test_retrain_whose_validation_split_holds_no_episode_exits_3_before_training(
+        trained_run, corpus, tmp_path, capsys):
+    """Ratios that leave the validation split one class, fewer than k_way,
+    fail before the first episode: exit 3, and neither the previous run's
+    history nor its checkpoints are left beside the new snapshot."""
+    run = tmp_path / "rundir"
+    shutil.copytree(trained_run, run)
+    config = write_config(tmp_path, corpus, split_ratios="0.8,0.1,0.1")
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 3
+    assert "need 2 classes, split has 1" in capsys.readouterr().err
+    assert not (run / "history.jsonl").exists()
+    assert not any((run / name).exists() for name in ("best.ckpt", "last.ckpt"))
+    assert (run / "config.snapshot").read_bytes() == config.read_bytes()
+
+
+def test_retrain_whose_classes_cannot_be_split_leaves_the_previous_run(trained_run, corpus,
+                                                                      tmp_path):
+    """A re-train whose manifest has too few classes of min_per_class clips
+    fails before it writes anything: the previous run stays as it was."""
+    run = tmp_path / "rundir"
+    shutil.copytree(trained_run, run)
+    files = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
+    config = write_config(tmp_path, corpus, min_per_class="100")
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 3
+    assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == files
+
+
 def test_interrupted_train_keeps_each_finished_episode_on_disk(tmp_path, corpus, monkeypatch):
     """history.jsonl gets each episode's line as the episode ends, so a run
     stopped at episode 5 leaves episodes 1-4 in it, and no checkpoint."""
@@ -389,12 +416,17 @@ BAD_INPUTS = [
      lambda t, c: ["eval", "--run", str(fake_run(t, (t / NOT_UTF8).read_bytes()))]),
     ("eval-manifest-dir", 3, None,
      lambda t, c: ["eval", "--run", str(fake_run(t, f"manifest = {t / 'dir'}\n".encode()))]),
+    ("eval-seed-negative", 2, None,
+     lambda t, c: ["eval", "--run", str(fake_run(t, write_config(t, c).read_bytes())),
+                   "--seed", "-3"]),
     ("eval-manifest-not-utf8", 3, None,
      lambda t, c: ["eval", "--run", str(fake_run(t, f"manifest = {t / NOT_UTF8}\n".encode()))]),
     ("subset-manifest-dir", 3, None,
      lambda t, c: ["subset", "--manifest", str(t / "dir"), "--classes", "1"]),
     ("subset-manifest-not-utf8", 3, None,
      lambda t, c: ["subset", "--manifest", str(t / NOT_UTF8), "--classes", "1"]),
+    ("subset-budget-negative", 2, None,
+     lambda t, c: ["subset", "--manifest", str(c), "--classes", "1", "--budget", "-5"]),
     ("subset-out-dir", 3, None,
      lambda t, c: ["subset", "--manifest", str(c), "--classes", "1", "--out", str(t / "dir")]),
     ("features-wav-dir", 3, None,
@@ -418,9 +450,9 @@ BAD_INPUTS = [
 def test_bad_input_exits_with_its_code_and_one_line(tmp_path, corpus, monkeypatch, capsys,
                                                     code, env_seed, argv):
     """Directories where files belong (to read or to write), text that is not
-    UTF-8, a truncated WAV, an existing file as the output directory and
-    negative seeds each end in one `<kind> error:` line on stderr and their
-    exit code."""
+    UTF-8, a truncated WAV, an existing file as the output directory, negative
+    seeds and a negative subset budget each end in one `<kind> error:` line
+    on stderr and their exit code."""
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("x\n")
     (tmp_path / NOT_UTF8).write_bytes("manifest = café\n".encode("latin-1"))

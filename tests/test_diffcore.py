@@ -115,9 +115,9 @@ def test_shape_mismatch_names_both_shapes():
 def test_checked_mode_flags_nonfinite():
     with dc.checked_mode():
         with pytest.raises(NonFiniteValueError):
-            dc.log(dc.Tensor(np.array([-1.0])))
+            rops.log(dc.Tensor(np.array([-1.0])))
     # outside checked mode the same op just propagates the nan
-    out = dc.log(dc.Tensor(np.array([-1.0])))
+    out = rops.log(dc.Tensor(np.array([-1.0])))
     assert np.isnan(out.data[0])
 
 
@@ -133,7 +133,7 @@ def test_checked_mode_is_per_thread():
     other.start()
     try:
         assert entered.wait(timeout=10)
-        out = dc.log(dc.Tensor(np.array([-1.0])))   # must not raise here
+        out = rops.log(dc.Tensor(np.array([-1.0])))   # must not raise here
         assert np.isnan(out.data[0])
     finally:
         release.set()
@@ -837,14 +837,15 @@ def gradcheck_cases(rng):
         ("add", dc.add, [u(3, 4), u(3, 4)]),
         ("add_bias", dc.add, [u(3, 4), u(4)]),
         ("mul", dc.mul, [u(4, 3), u(4, 3)]),
-        ("add_scalar", lambda a: dc.add_scalar(a, 1.7), [u(3, 3)]),
+        ("add_scalar", lambda a: rops.add_scalar(a, 1.7), [u(3, 3)]),
         ("mul_scalar", lambda a: dc.mul_scalar(a, -2.3), [u(3, 3)]),
         ("matmul", dc.matmul, [u(3, 4), u(4, 2)]),
         ("relu", dc.relu, [off(4, 4)]),
         ("sigmoid", rops.sigmoid, [u(3, 5)]),
         ("tanh", rops.tanh, [u(3, 5)]),
-        ("absval", dc.absval, [off(4, 3)]),
-        ("log", dc.log, [pos(3, 4)]),
+        ("absval", rops.absval, [off(4, 3)]),
+        ("log", rops.log, [pos(3, 4)]),
+        ("log_abs", lambda a: dc.log_abs(a, 0.2), [off(4, 3)]),
         ("sum_all", dc.sum_all, [u(3, 4)]),
         ("mean_pool0", lambda a: dc.mean_pool(a, 0), [u(4, 3)]),
         ("mean_pool1", lambda a: dc.mean_pool(a, 1), [u(2, 5, 3)]),
@@ -873,7 +874,7 @@ def gradcheck_cases(rng):
         ("max_pool1d", lambda x: dc.max_pool1d(x, 2), [spread(rng, (2, 7, 3))]),
         ("max_pool2d", lambda x: dc.max_pool2d(x, 2), [spread(rng, (2, 4, 6, 3))]),
         ("sinc_kernel",      # the last filter has f1 clamped, the one before f2
-         lambda tl, tb: dc.sinc_kernel(tl, tb, 0.01, 15, np.hamming(15)),
+         lambda tl, tb: dc.sinc_kernel(tl, tb, 0.01, np.hamming(15)),
          [np.array([0.05, -0.12, 0.3, -0.6]), np.array([-0.1, 0.2, 0.35, 0.05])]),
         ("lstm_sequence", lambda x, wx, b, wh: dc.lstm_sequence(x, wx, b, wh, [2, 4, 1]),
          [u(7, 5), u(5, 12), u(12), u(3, 12)]),
@@ -886,6 +887,33 @@ def spread(rng, shape):
     n = int(np.prod(shape))
     base = rng.permutation(n).astype(np.float64)
     return ((base / n) * 4.0 - 2.0).reshape(shape) + rng.uniform(-0.01, 0.01, size=shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_log_abs_matches_abs_add_log_chain(dtype):
+    """log_abs's output and input gradient equal, byte for byte, those of the
+    absval -> add_scalar -> log chain it replaced in SincNet's front end, on
+    both signs over eleven decades, exact 0.0 and -0.0, and ±eps itself; it
+    records one tape node where the chain recorded three."""
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((40, 64)) * 10.0 ** rng.uniform(-9.0, 2.0, size=(40, 64))
+    x[0, :4] = [0.0, -0.0, 1e-6, -1e-6]
+    x = x.astype(dtype)
+    weights = dc.Tensor(rng.standard_normal(x.shape).astype(dtype))
+    results = []
+    for build in (lambda a: dc.log_abs(a, 1e-6),
+                  lambda a: rops.log(rops.add_scalar(rops.absval(a), 1e-6))):
+        a = dc.Tensor(x, requires_grad=True)
+        with dc.Tape() as tape:
+            out = build(a)
+            nodes = len(tape)
+            grads = dc.backward(dc.sum_all(dc.mul(out, weights)))
+        results.append((nodes, out.data, grads[a].data))
+    assert (results[0][0], results[1][0]) == (1, 3)
+    for new, old in zip(results[0][1:], results[1][1:]):
+        assert new.dtype == old.dtype == dtype
+        assert new.tobytes() == old.tobytes()
+    assert np.all(results[0][2][0, :2] == 0.0)
 
 
 def test_gradcheck_every_op_smoke():
@@ -952,15 +980,15 @@ def chain_kernels(f1, f2, kernel_len, window):
     return _finish("sinc_kernel", (f1, f2), out, bwd)
 
 
-def chain_sinc_weight(theta_low, theta_band, min_band, kernel_len, window):
+def chain_sinc_weight(theta_low, theta_band, min_band, window):
     """SincNet's conv weight as its encoder built it before the clamp moved
     into `sinc_kernel`: six clamp nodes, the kernels, a transpose and a
     reshape, with the floor rounded to the parameters' dtype."""
     floor = float(theta_low.dtype.type(min_band))
-    f1 = chain_clip(dc.absval(theta_low), 0.0, 0.5 - floor)
-    f2 = chain_clip(dc.add(f1, dc.add_scalar(dc.absval(theta_band), floor)), 0.0, 0.5)
-    kernels = chain_transpose(chain_kernels(f1, f2, kernel_len, window))
-    return dc.reshape(kernels, (kernel_len, 1, theta_low.shape[0]))
+    f1 = chain_clip(rops.absval(theta_low), 0.0, 0.5 - floor)
+    f2 = chain_clip(dc.add(f1, rops.add_scalar(rops.absval(theta_band), floor)), 0.0, 0.5)
+    kernels = chain_transpose(chain_kernels(f1, f2, len(window), window))
+    return dc.reshape(kernels, (len(window), 1, theta_low.shape[0]))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -986,7 +1014,7 @@ def test_sinc_kernel_matches_clamp_chain(dtype):
     for build in (dc.sinc_kernel, chain_sinc_weight):
         tl, tb = dc.Tensor(theta_low, requires_grad=True), dc.Tensor(theta_band, requires_grad=True)
         with dc.Tape():
-            w = build(tl, tb, min_band, K, window)
+            w = build(tl, tb, min_band, window)
             grads = dc.backward(dc.sum_all(dc.mul(w, weights)))
         results.append((w.data, grads[tl].data, grads[tb].data))
     _, f2, free_low, free_high = ops.sinc_cutoffs(theta_low, theta_band, min_band)
@@ -1000,13 +1028,14 @@ def test_sinc_kernel_matches_clamp_chain(dtype):
 
 
 def test_sinc_kernel_rejects_bad_shapes():
+    """Cutoff arrays of different shapes, and a window of even length (the
+    kernel length is the window's), are rejected."""
     tl = dc.Tensor(np.full(3, 0.1))
     with pytest.raises(ShapeMismatchError, match="cutoffs"):
-        dc.sinc_kernel(tl, dc.Tensor(np.full(4, 0.1)), 0.01, 5, np.hamming(5))
-    with pytest.raises(ConfigError):
-        dc.sinc_kernel(tl, tl, 0.01, 6, np.hamming(6))
-    with pytest.raises(ShapeMismatchError, match="window"):
-        dc.sinc_kernel(tl, tl, 0.01, 5, np.hamming(7))
+        dc.sinc_kernel(tl, dc.Tensor(np.full(4, 0.1)), 0.01, np.hamming(5))
+    with pytest.raises(ConfigError, match="odd"):
+        dc.sinc_kernel(tl, tl, 0.01, np.hamming(6))
+    assert dc.sinc_kernel(tl, tl, 0.01, np.hamming(7)).shape == (7, 1, 3)
 
 
 # -- checkpoint archive ---------------------------------------------------------

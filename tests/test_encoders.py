@@ -15,6 +15,7 @@ from protoaudio.encoders import (
     sinc_init_mel,
     window_count,
 )
+from protoaudio.encoders.base import N_MELS
 from protoaudio.encoders.sincnet import MIN_BAND_HZ
 from protoaudio.errors import (
     ConfigError,
@@ -58,6 +59,13 @@ def test_desk_scale_dims():
     assert EncoderSpec("sincnet", "desk").embed_dim == 64
     d = EncoderSpec("sincnet", "desk").dims
     assert (d.sinc_filters, d.sinc_kernel_len, d.sinc_stride) == (64, 251, 80)
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_sinc_stack_width_is_the_feature_width(scale):
+    """The composed encoders hand SincNet's packed maps to a head built for
+    log-mel frames, so the stack width equals N_MELS at every scale."""
+    assert EncoderSpec("sincnet", scale).dims.sinc_stack_channels == N_MELS
 
 
 def test_unknown_kind_rejected():
@@ -386,8 +394,9 @@ def test_lstm_is_order_sensitive():
 
 
 def test_sinc_init_mel_band_structure():
-    params = sinc_init_mel(64)
-    f1, f2 = params.cutoffs_hz()
+    theta_low, theta_band = sinc_init_mel(64)
+    assert theta_low.dtype == theta_band.dtype == np.float64
+    f1, f2 = (f * SAMPLE_RATE for f in clamp_cutoffs(theta_low, theta_band))
     assert abs(f1[0] - 30.0) < 1e-9
     np.testing.assert_allclose(f2[:-1], f1[1:], atol=1e-9)   # shared breakpoints
     centers_mel = (mel_scale(f1) + mel_scale(f2)) / 2.0
@@ -403,8 +412,7 @@ def test_sinc_init_requires_two_filters():
 
 def band_kernel(f1, f2, window):
     """The kernel of one band [f1, f2] (cycles/sample), floor 0."""
-    k = dc.sinc_kernel(dc.Tensor(np.array([f1])), dc.Tensor(np.array([f2 - f1])), 0.0,
-                       window.size, window)
+    k = dc.sinc_kernel(dc.Tensor(np.array([f1])), dc.Tensor(np.array([f2 - f1])), 0.0, window)
     return k.data[:, 0, 0]
 
 
@@ -583,7 +591,7 @@ def sinc_weight(enc):
     """The sinc layer's (K, 1, F) conv weight, as its encoder builds it."""
     p = enc.params
     return dc.sinc_kernel(p["theta_low"], p["theta_band"], MIN_BAND_HZ / SAMPLE_RATE,
-                          enc.kernel_len, enc._window)
+                          enc._window)
 
 
 def per_clip_sinc_map(enc, samples):
@@ -591,7 +599,7 @@ def per_clip_sinc_map(enc, samples):
     x = dc.Tensor(np.asarray(samples, dtype=np.float32))
     n = x.shape[0]
     h = dc.conv1d(dc.reshape(x, (1, n, 1)), sinc_weight(enc), stride=enc.stride)
-    h = dc.max_pool1d(dc.log(dc.add_scalar(dc.absval(h), 1e-6)), 2)
+    h = dc.max_pool1d(rops.log(rops.add_scalar(rops.absval(h), 1e-6)), 2)
     p = enc.params
     h = dc.relu(dc.conv1d(h, p["conv1_w"], p["conv1_b"], padding=enc._pad))
     h = dc.relu(dc.conv1d(h, p["conv2_w"], p["conv2_b"], padding=enc._pad))
@@ -639,7 +647,7 @@ def im2col_sinc_maps(enc, inputs):
     for samples in inputs:
         x = np.asarray(samples, dtype=np.float32)
         h = im2col_conv1d(dc.Tensor(x.reshape(1, x.shape[0], 1)), w, stride=enc.stride)
-        h = dc.max_pool1d(dc.log(dc.add_scalar(dc.absval(h), 1e-6)), 2)
+        h = dc.max_pool1d(rops.log(rops.add_scalar(rops.absval(h), 1e-6)), 2)
         h = dc.relu(im2col_conv1d(h, p["conv1_w"], p["conv1_b"], padding=enc._pad))
         h = dc.relu(im2col_conv1d(h, p["conv2_w"], p["conv2_b"], padding=enc._pad))
         maps.append(dc.reshape(h, h.shape[1:]))
@@ -678,7 +686,7 @@ def test_sincnet_tape_size_independent_of_clip_count():
     one sinc_kernel node, 3 conv1d nodes and 1 max_pool1d, and the head takes
     the packed maps whole."""
     rng = np.random.default_rng(16)
-    for kind, nodes in (("sincnet", 19), ("sincnet+vgg", 46), ("sincnet+lstm", 25)):
+    for kind, nodes in (("sincnet", 17), ("sincnet+vgg", 44), ("sincnet+lstm", 23)):
         enc = make(kind)
         counts = []
         for n_clips in (5, 50):
@@ -691,6 +699,21 @@ def test_sincnet_tape_size_independent_of_clip_count():
             assert per_op == [1, 3, 1], kind
             counts.append(len(ops))
         assert counts == [nodes, nodes], (kind, counts)
+
+
+@pytest.mark.parametrize("kind,nodes", [("vgg", 30), ("lstm", 14), ("sincnet", 24),
+                                        ("sincnet+vgg", 51), ("sincnet+lstm", 30)])
+def test_desk_episode_tape_size(kind, nodes):
+    """The tape nodes one desk 5-shot 5-way 5-query training episode records,
+    embedding and loss, as `Trainer.step` builds them. A change that grows a
+    tape fails here; one that shrinks it updates the count."""
+    enc = make(kind)
+    clips = [synth_clip(TimbreProfile(200.0 + 30.0 * i), 0.5, seed=i) for i in range(50)]
+    with dc.Tape() as tape:
+        embs = enc.embed_batch([enc.prepare_input(c) for c in clips])
+        support = dc.reshape(dc.slice_rows(embs, 0, 25), (5, 5, enc.embed_dim))
+        episode_loss(support, dc.slice_rows(embs, 25, 50), np.repeat(np.arange(5), 5))
+    assert len(tape) == nodes
 
 
 @pytest.mark.parametrize("kind", ["vgg", "lstm", "sincnet", "sincnet+vgg", "sincnet+lstm"])

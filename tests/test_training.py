@@ -11,6 +11,7 @@ from protoaudio.encoders import Encoder, EncoderSpec, build_encoder
 from protoaudio.errors import (
     CheckpointMismatchError,
     ConfigError,
+    InsufficientClassesError,
     NonFiniteValueError,
     ShapeMismatchError,
 )
@@ -163,6 +164,22 @@ def test_train_without_a_check_keeps_the_last_state_as_best():
     result = train(enc, stub_split(), stub_split(), tiny_cfg(max_episodes=7), loader=stub_loader)
     assert (result.best_val_accuracy, result.best_episode, result.episodes_run) == (None, 7, 7)
     np.testing.assert_array_equal(result.best_params["w"], enc.params["w"].data)
+
+
+def test_validation_split_without_an_episode_fails_when_the_trainer_is_built():
+    """The validation episodes are drawn when the Trainer is built if a check
+    can fall due, so a validation split too small for one episode fails before
+    the first training episode. With a val_metric, or no check due by
+    max_episodes, the split is never sampled and the run goes to its end."""
+    small = stub_split(n_classes=1)
+    for cfg in (tiny_cfg(), tiny_cfg(max_episodes=10, eval_interval=10)):
+        with pytest.raises(InsufficientClassesError, match="need 2 classes, split has 1"):
+            Trainer(StubEncoder(), stub_split(), small, cfg, loader=stub_loader)
+    for cfg, val_metric in ((tiny_cfg(), lambda enc, ep: 0.5),
+                            (tiny_cfg(max_episodes=9, eval_interval=10), None)):
+        result = train(StubEncoder(), stub_split(), small, cfg, loader=stub_loader,
+                       val_metric=val_metric)
+        assert result.val_episodes is None and result.episodes_run == cfg.max_episodes
 
 
 def test_trace_seams_of_the_benchmark_see_training(monkeypatch):
