@@ -30,17 +30,12 @@ class Waveform:
     """A mono clip at the canonical sampling rate, amplitudes in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate_hz: int = SAMPLE_RATE
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float32)
         if samples.ndim != 1 or samples.size < 1:
             raise UnsupportedFormatError(
                 f"waveform must be a non-empty 1-D sequence, got shape {samples.shape}"
-            )
-        if self.sample_rate_hz != SAMPLE_RATE:
-            raise UnsupportedFormatError(
-                f"sample_rate_hz={self.sample_rate_hz}, only {SAMPLE_RATE} is supported"
             )
         if not np.all(np.isfinite(samples)):
             raise UnsupportedFormatError("waveform contains non-finite samples")
@@ -51,7 +46,7 @@ class Waveform:
 
     @property
     def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
+        return self.samples.size / SAMPLE_RATE
 
     def __len__(self) -> int:
         return self.samples.size

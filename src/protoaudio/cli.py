@@ -25,7 +25,7 @@ from .datasetkit import (
     select_single_label_subset,
 )
 from .diffcore.checkpoint import write_atomic
-from .dsp import FrontendConfig, extract_features, save_features
+from .dsp import extract_features, save_features
 from .encoders import EncoderSpec, build_encoder
 from .errors import ConfigError, MissingRunError, ProtoAudioError
 from .training import (
@@ -136,7 +136,7 @@ def cmd_train(args) -> int:
     for stale in [run / "history.jsonl", run / "best.ckpt", run / "last.ckpt",
                   *run.glob("eval_*.txt"), *run.glob("eval_*.json")]:
         stale.unlink(missing_ok=True)
-    encoder = build_encoder(spec, FrontendConfig(), seed=cfg.seed)
+    encoder = build_encoder(spec, seed=cfg.seed)
     print(f"training {spec.kind} ({spec.scale}) seed={cfg.seed} "
           f"{cfg.n_shot}-shot {cfg.k_way}-way")
 
@@ -176,7 +176,7 @@ def cmd_eval(args) -> int:
     cfg = build_train_config(values)
     spec = EncoderSpec(values["encoder"], values["scale"])
     split = resolve_splits(values, cfg)
-    encoder = restore_encoder(ckpt, spec, FrontendConfig())
+    encoder = restore_encoder(ckpt, spec)
     cache = InputCache(encoder)
     part = split.part(args.split)
     seed = cfg.seed if args.seed is None else args.seed
@@ -200,7 +200,7 @@ def cmd_eval(args) -> int:
 
 def cmd_features(args) -> int:
     waveform = load_wav(args.wav)
-    feats = extract_features(waveform, FrontendConfig())
+    feats = extract_features(waveform)
     save_features(args.out, feats)
     print(f"wrote {feats.shape[0]}x{feats.shape[1]} features to {args.out}")
     return 0

@@ -324,13 +324,12 @@ def class_profiles(n_classes: int, rng: np.random.Generator) -> list:
     return profiles
 
 
-def gen_synthetic_corpus(out_dir, n_classes: int, clips_per_class: int, seed: int = 0,
-                         duration_range=(0.8, 1.2)):
+def gen_synthetic_corpus(out_dir, n_classes: int, clips_per_class: int, seed: int = 0):
     """Write WAVs plus manifest.tsv; returns (Manifest, manifest path).
 
-    One timbre profile per class; per-clip jitter in duration, amplitude, and
-    noise floor. Deterministic given the seed. Raises before writing anything
-    unless 2 <= n_classes <= 30 and clips_per_class >= 1.
+    One timbre profile per class; per-clip jitter in duration (0.8 to 1.2 s),
+    amplitude, and noise floor. Deterministic given the seed. Raises before
+    writing anything unless 2 <= n_classes <= 30 and clips_per_class >= 1.
     """
     if n_classes < 2:
         raise TooFewClassesError(f"n_classes={n_classes} must be >= 2")
@@ -343,11 +342,10 @@ def gen_synthetic_corpus(out_dir, n_classes: int, clips_per_class: int, seed: in
     rng = np.random.default_rng(seed)
     profiles = class_profiles(n_classes, rng)
     entries = []
-    lo, hi = duration_range
     for ci, profile in enumerate(profiles):
         label = f"class{ci:02d}"
         for k in range(clips_per_class):
-            duration = float(rng.uniform(lo, hi))
+            duration = float(rng.uniform(0.8, 1.2))
             noise = float(np.clip(profile.noise_floor * rng.uniform(0.8, 1.25), 0.0, 0.1))
             clip_profile = TimbreProfile(profile.fundamental_hz, profile.harmonic_amps, noise)
             clip_seed = int(rng.integers(0, 2**31 - 1))

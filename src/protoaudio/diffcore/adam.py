@@ -10,6 +10,9 @@ import numpy as np
 from ..errors import ShapeMismatchError
 from .tensor import Tensor
 
+# Kingma & Ba 2015's default moments and epsilon.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -28,8 +31,7 @@ class AdamState:
 
 
 def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
-              state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+              state: AdamState, lr: float):
     """One bias-corrected Adam update, in place on params; advances state by 1.
 
     Every parameter must have a gradient of matching shape. m, v and the
@@ -39,8 +41,8 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
     comments, so each value rounds as they do; m and v keep their dtype.
     """
     t = state.step + 1
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     largest = max((p.data.size for p in params.values()), default=0)
     scratch = {}                                 # dtype -> (2, largest)
     for name, p in params.items():
@@ -61,17 +63,17 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
         if m.dtype not in scratch:
             scratch[m.dtype] = np.empty((2, largest), dtype=m.dtype)
         a, b = (row[:m.size].reshape(m.shape) for row in scratch[m.dtype])
-        np.multiply(m, beta1, out=m)             # m = beta1 * m + (1 - beta1) * g
-        np.multiply(g, 1.0 - beta1, out=a)
+        np.multiply(m, BETA1, out=m)             # m = BETA1 * m + (1 - BETA1) * g
+        np.multiply(g, 1.0 - BETA1, out=a)
         np.add(m, a, out=m)
-        np.multiply(v, beta2, out=v)             # v = beta2 * v + (1 - beta2) * (g * g)
+        np.multiply(v, BETA2, out=v)             # v = BETA2 * v + (1 - BETA2) * (g * g)
         np.multiply(g, g, out=a)
-        np.multiply(a, 1.0 - beta2, out=a)
+        np.multiply(a, 1.0 - BETA2, out=a)
         np.add(v, a, out=v)
-        np.multiply(m, lr / bc1, out=a)          # p -= (lr / bc1) * m / (sqrt(v / bc2) + eps)
+        np.multiply(m, lr / bc1, out=a)          # p -= (lr / bc1) * m / (sqrt(v / bc2) + EPS)
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        np.add(b, eps, out=b)
+        np.add(b, EPS, out=b)
         np.divide(a, b, out=a)
         p.data -= a
     state.step = t

@@ -64,10 +64,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "tape")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data)
         if arr.dtype == np.float16 or not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float32)
         self.data = arr
@@ -99,8 +99,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class Node:

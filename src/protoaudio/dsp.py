@@ -8,6 +8,7 @@ energy (one-sided bins carry the 2/N weight, DC and Nyquist 1/N).
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,11 +97,12 @@ def power_spectrum(frames: np.ndarray, fft_size: int) -> np.ndarray:
     return power
 
 
-def build_mel_filterbank(cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
+@functools.cache
+def build_mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     """Triangular filters, shape (n_mels, fft_size//2 + 1), peak weight 1.
 
     Filter m is the triangle over mel-equally-spaced breakpoints
-    (m, m+1, m+2), sampled at FFT bin center frequencies.
+    (m, m+1, m+2), sampled at FFT bin center frequencies. Cached, read-only.
     """
     breaks_mel = np.linspace(mel_scale(cfg.fmin_hz), mel_scale(cfg.fmax_hz), cfg.n_mels + 2)
     breaks_hz = mel_inverse(breaks_mel)
@@ -117,21 +119,19 @@ def build_mel_filterbank(cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
             f"filter(s) {empty.tolist()} cover no FFT bin; fft_size={cfg.fft_size} "
             f"too small for n_mels={cfg.n_mels}"
         )
+    fb.setflags(write=False)
     return fb
 
 
-def extract_features(w, cfg: FrontendConfig = FrontendConfig(),
-                     filterbank: np.ndarray | None = None) -> np.ndarray:
+def extract_features(w, cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
     """Waveform -> (T, n_mels) log-mel matrix, float64.
 
     Every entry is >= log(log_floor); an all-zero input yields exactly that
-    constant. Pass a prebuilt filterbank to amortize across clips.
+    constant.
     """
-    if filterbank is None:
-        filterbank = build_mel_filterbank(cfg)
     frames = frame_signal(w, cfg)
     power = power_spectrum(frames, cfg.fft_size)
-    return np.log(power @ filterbank.T + cfg.log_floor)
+    return np.log(power @ build_mel_filterbank(cfg).T + cfg.log_floor)
 
 
 def save_features(path, features: np.ndarray) -> None:

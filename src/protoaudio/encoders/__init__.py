@@ -1,6 +1,7 @@
 """The five clip-embedding architectures behind one interface."""
 
 from ..dsp import FrontendConfig
+from ..errors import ConfigError
 from .base import Encoder, EncoderDims, EncoderSpec, KINDS, SCALES
 from .lstm import LstmEncoder
 from .sincnet import (
@@ -14,15 +15,18 @@ from .vgg import VggEncoder, window_count
 
 def build_encoder(spec: EncoderSpec, frontend: FrontendConfig | None = None,
                   seed: int = 0) -> Encoder:
-    """Instantiate an encoder with seeded parameter initialization."""
-    frontend = frontend or FrontendConfig()
+    """Instantiate an encoder with seeded parameter initialization. Encoders
+    read one fixed front end: frontend may only be None or FrontendConfig()."""
+    if frontend not in (None, FrontendConfig()):
+        raise ConfigError(
+            f"encoders take only the fixed front end FrontendConfig(), not {frontend}")
     if spec.kind == "vgg":
-        return VggEncoder(spec, frontend, seed)
+        return VggEncoder(spec, seed)
     if spec.kind == "lstm":
-        return LstmEncoder(spec, frontend, seed)
+        return LstmEncoder(spec, seed)
     if spec.kind == "sincnet":
-        return SincNetEncoder(spec, frontend, seed)
-    return ComposedSincEncoder(spec, frontend, seed)
+        return SincNetEncoder(spec, seed)
+    return ComposedSincEncoder(spec, seed)
 
 
 __all__ = [

@@ -8,7 +8,6 @@ from typing import Sequence
 import numpy as np
 
 from ..audio_io import Waveform
-from ..dsp import FrontendConfig
 from ..errors import ConfigError, DimensionMismatchError, ShapeMismatchError
 from ..diffcore import Tensor, as_tensor, concat
 

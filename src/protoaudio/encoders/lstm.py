@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from ..diffcore import Tensor, add, concat, lstm_sequence, matmul, segment_mean
-from ..dsp import FrontendConfig, build_mel_filterbank, extract_features
+from ..dsp import extract_features
 from .base import N_MELS, EncoderSpec, FrameEncoder, kaiming_uniform, scaled_uniform
 
 _GATES = ("i", "f", "g", "o")
@@ -17,10 +17,8 @@ class LstmEncoder(FrameEncoder):
     """Single-layer LSTM; the hidden state is projected to the output width at
     every timestep and the per-timestep outputs are averaged over the clip."""
 
-    def __init__(self, spec: EncoderSpec, frontend: FrontendConfig, seed: int):
+    def __init__(self, spec: EncoderSpec, seed: int):
         self.spec = spec
-        self.frontend = frontend
-        self._filterbank = build_mel_filterbank(frontend)
         hidden, out = spec.dims.lstm_hidden, spec.dims.lstm_out
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(hidden)
@@ -37,7 +35,7 @@ class LstmEncoder(FrameEncoder):
         self.params["by"] = Tensor(np.zeros(out, dtype=np.float32), requires_grad=True)
 
     def prepare_input(self, waveform) -> np.ndarray:
-        return extract_features(waveform, self.frontend, self._filterbank).astype(np.float32)
+        return extract_features(waveform).astype(np.float32)
 
     def embed_rows(self, rows: Tensor, lengths: Sequence[int]) -> Tensor:
         """(Σ T_b, n_mels) packed frames -> (B, out). The per-gate weights are

@@ -28,7 +28,7 @@ from ..diffcore import (
     sinc_kernel,
 )
 from ..diffcore.ops import sinc_cutoffs
-from ..dsp import FrontendConfig, mel_inverse, mel_scale
+from ..dsp import mel_inverse, mel_scale
 from ..errors import ConfigError, KernelTooLongError, ShapeMismatchError
 from .base import Encoder, EncoderSpec, kaiming_uniform, raw_samples
 from .lstm import LstmEncoder
@@ -65,7 +65,7 @@ def sinc_init_mel(n_filters: int):
 
 
 class SincNetEncoder(Encoder):
-    def __init__(self, spec: EncoderSpec, frontend: FrontendConfig, seed: int):
+    def __init__(self, spec: EncoderSpec, seed: int):
         self.spec = spec
         d = spec.dims
         theta_low, theta_band = sinc_init_mel(d.sinc_filters)
@@ -144,12 +144,12 @@ class SincNetEncoder(Encoder):
 class ComposedSincEncoder(Encoder):
     """SincNet front end feeding the windowed-CNN or LSTM encoder."""
 
-    def __init__(self, spec: EncoderSpec, frontend: FrontendConfig, seed: int):
+    def __init__(self, spec: EncoderSpec, seed: int):
         self.spec = spec
         head_kind = spec.kind.split("+")[1]
-        self.sinc = SincNetEncoder(spec, frontend, seed)
+        self.sinc = SincNetEncoder(spec, seed)
         head_cls = VggEncoder if head_kind == "vgg" else LstmEncoder
-        self.head = head_cls(spec, frontend, seed + 1)
+        self.head = head_cls(spec, seed + 1)
         # Checkpoint names carry the sub-encoder; the Tensors are shared, so
         # updates through either dict reach both.
         self.params = {f"{prefix}/{name}": p

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ..diffcore import Tensor, concat, conv2d, gather_rows, max_pool2d, relu, reshape, segment_mean
-from ..dsp import FrontendConfig, build_mel_filterbank, extract_features
+from ..dsp import extract_features
 from .base import N_MELS, WINDOW_FRAMES, WINDOW_HOP, EncoderSpec, FrameEncoder, kaiming_uniform
 
 # conv channel index -> pool after it (VGG11 layout: C P C P C C P C C P C C P)
@@ -29,10 +29,8 @@ def window_count(n_frames: int) -> int:
 
 
 class VggEncoder(FrameEncoder):
-    def __init__(self, spec: EncoderSpec, frontend: FrontendConfig, seed: int):
+    def __init__(self, spec: EncoderSpec, seed: int):
         self.spec = spec
-        self.frontend = frontend
-        self._filterbank = build_mel_filterbank(frontend)
         self.params = {}
         rng = np.random.default_rng(seed)
         in_ch = 1
@@ -47,7 +45,7 @@ class VggEncoder(FrameEncoder):
             in_ch = out_ch
 
     def prepare_input(self, waveform) -> np.ndarray:
-        return extract_features(waveform, self.frontend, self._filterbank).astype(np.float32)
+        return extract_features(waveform).astype(np.float32)
 
     def _trunk(self, x: Tensor) -> Tensor:
         """(W, 96, 64, 1) window batch -> (W, embed_dim).

@@ -85,24 +85,33 @@ class Episode:
         return np.repeat(np.arange(self.k_way), self.n_query)
 
 
+def _classes(split: Mapping[str, Sequence[str]], k: int) -> list:
+    if len(split) < k:
+        raise InsufficientClassesError(f"need {k} classes, split has {len(split)}")
+    return sorted(split)
+
+
+def _clips(split: Mapping[str, Sequence[str]], cls: str, needed: int) -> list:
+    if len(split[cls]) < needed:
+        raise InsufficientExamplesError(
+            f"class {cls!r} has {len(split[cls])} clips, episode needs {needed}")
+    return list(split[cls])
+
+
+def check_split_holds_episode(split: Mapping, n: int, k: int, q: int) -> None:
+    """Raises what sample_episode raises for a split too small for an episode."""
+    for cls in _classes(split, k):
+        _clips(split, cls, n + q)
+
+
 def sample_episode(split: Mapping[str, Sequence[str]], n: int, k: int, q: int,
                    rng: random.Random) -> Episode:
     """Draw k classes uniformly without replacement, then n+q clips per class
     (first n become support). Deterministic given the rng state."""
-    classes = sorted(split)
-    if len(classes) < k:
-        raise InsufficientClassesError(
-            f"need {k} classes, split has {len(classes)}"
-        )
-    chosen = rng.sample(classes, k)
+    chosen = rng.sample(_classes(split, k), k)
     support, query = [], []
     for cls in chosen:
-        clips = list(split[cls])
-        if len(clips) < n + q:
-            raise InsufficientExamplesError(
-                f"class {cls!r} has {len(clips)} clips, episode needs {n + q}"
-            )
-        picks = rng.sample(clips, n + q)
+        picks = rng.sample(_clips(split, cls, n + q), n + q)
         support.append(tuple(picks[:n]))
         query.append(tuple(picks[n:]))
     return Episode(tuple(chosen), tuple(support), tuple(query))

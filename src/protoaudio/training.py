@@ -15,10 +15,10 @@ import numpy as np
 
 from .audio_io import load_wav
 from .diffcore import AdamState, Tape, adam_step, backward, load_archive, save_archive
-from .diffcore.ops import reshape, slice_rows
+from .diffcore.ops import reshape, slice_rows, squared_euclidean
 from .encoders import Encoder, EncoderSpec, build_encoder
 from .errors import CheckpointMismatchError, ConfigError, NonFiniteValueError, ShapeMismatchError
-from .protonet import Episode, episode_loss, sample_episode
+from .protonet import Episode, check_split_holds_episode, episode_loss, sample_episode
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,15 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
 
 
-def embed_table(encoder: Encoder, cache: InputCache, paths: Sequence[str],
-                batch_size: int = 32) -> dict:
+EMBED_BATCH = 32  # clips per embed_batch call of embed_table
+
+
+def embed_table(encoder: Encoder, cache: InputCache, paths: Sequence[str]) -> dict:
     """Embed each unique path once with frozen parameters; path -> (d,) array."""
     unique = sorted(set(paths))
     table: dict = {}
-    for i in range(0, len(unique), batch_size):
-        chunk = unique[i:i + batch_size]
+    for i in range(0, len(unique), EMBED_BATCH):
+        chunk = unique[i:i + EMBED_BATCH]
         embs = encoder.embed_batch([cache.get(p) for p in chunk]).data
         for p, row in zip(chunk, embs):
             table[p] = np.asarray(row, dtype=np.float64)
@@ -133,24 +135,17 @@ def embed_table(encoder: Encoder, cache: InputCache, paths: Sequence[str],
 
 # Byte budget of score_episode's largest per-chunk temporary, the float64
 # (episodes, k, n, d) support or (episodes, k·q, d) query gather; it bounds the
-# chunk of episodes scored together. The exact rescoring of episodes the
-# certified margin leaves open holds its (episodes, k, k·q, d) differences to it.
+# chunk of episodes scored together.
 SCORE_CHUNK_BYTES = 4 << 20
 
 
 def _rescore_episodes(queries: np.ndarray, protos: np.ndarray,
                       labels: np.ndarray) -> np.ndarray:
     """Accuracies of (e, k·q, d) queries against (e, k, d) prototypes with the
-    squared distances of protonet.prototype_logits: each query-prototype
-    difference squared and summed, the argmax of their negatives taken with
-    ties to the lowest class."""
-    step = max(1, SCORE_CHUNK_BYTES // (protos.shape[1] * queries[0].nbytes))
-    accuracies = np.empty(len(queries))
-    for s in range(0, len(queries), step):
-        diff = queries[s:s + step, None] - protos[s:s + step, :, None]     # (e, k, k·q, d)
-        distances = np.einsum("ekqd,ekqd->ekq", diff, diff)
-        accuracies[s:s + step] = np.mean(np.argmax(-distances, axis=1) == labels, axis=1)
-    return accuracies
+    squared distances of protonet.prototype_logits, its squared_euclidean op:
+    the argmax of their negatives, ties to the lowest class."""
+    return np.array([np.mean(np.argmax(-squared_euclidean(q, p).data, axis=1) == labels)
+                     for q, p in zip(queries, protos)])
 
 
 def score_episode(embeddings: Mapping[str, np.ndarray],
@@ -256,8 +251,8 @@ class Trainer:
 
     Every eval_interval episodes, validation accuracy is measured on a fixed
     batch of cfg.val_episodes episodes, sampled from a dedicated seed stream
-    when the Trainer is built if a check can fall due, so a validation split
-    that cannot hold an episode fails before the first one. The first check
+    at the first check. If a check can fall due, a validation split that
+    cannot hold an episode fails when the Trainer is built. The first check
     sets the incumbent; a check counts against patience unless strictly
     greater than the incumbent. The run is done after
     patience_checks consecutive non-improving checks or at max_episodes.
@@ -276,9 +271,9 @@ class Trainer:
         self.cache = InputCache(encoder, loader)
         self.adam = AdamState.for_params(encoder.params)
         self.rng = random.Random(f"{cfg.seed}/episodes")
-        self.val_episodes = (
-            sample_episodes(val_split, cfg, cfg.val_episodes, f"{cfg.seed}/val")
-            if val_metric is None and cfg.eval_interval <= cfg.max_episodes else None)
+        self.val_episodes: Optional[list] = None
+        if val_metric is None and cfg.eval_interval <= cfg.max_episodes:
+            check_split_holds_episode(val_split, cfg.n_shot, cfg.k_way, cfg.q_query)
         self.history: list = []
         self.episodes_run = 0
         self.train_accuracy: Optional[float] = None   # of the last episode
@@ -327,6 +322,8 @@ class Trainer:
             if self.val_metric is not None:
                 val_acc = float(self.val_metric(encoder, ep))
             else:
+                self.val_episodes = self.val_episodes or sample_episodes(
+                    self.val_split, cfg, cfg.val_episodes, f"{cfg.seed}/val")
                 val_acc = evaluate_episodes(encoder, self.cache, self.val_episodes).mean_accuracy
             if self.best_val_accuracy is None or val_acc > self.best_val_accuracy:
                 self.best_val_accuracy, self.best_episode = val_acc, ep
@@ -380,9 +377,9 @@ def load_encoder_checkpoint(path, spec: EncoderSpec):
     return tensors, meta
 
 
-def restore_encoder(path, spec: EncoderSpec, frontend=None) -> Encoder:
+def restore_encoder(path, spec: EncoderSpec) -> Encoder:
     tensors, _ = load_encoder_checkpoint(path, spec)
-    encoder = build_encoder(spec, frontend)
+    encoder = build_encoder(spec)
     encoder.load_state(tensors)
     return encoder
 

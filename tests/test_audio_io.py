@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from protoaudio.audio_io import (
-    SAMPLE_RATE,
     TimbreProfile,
     Waveform,
     load_wav,
@@ -23,7 +22,7 @@ from conftest import write_pcm16
 def test_load_one_second_clip(tone_wav):
     w = load_wav(tone_wav)
     assert len(w) == 16000
-    assert w.sample_rate_hz == SAMPLE_RATE
+    assert w.duration_s == 1.0
     assert w.samples.dtype == np.float32
 
 
@@ -171,5 +170,3 @@ def test_waveform_rejects_out_of_range():
         Waveform(np.array([0.0, 1.5], dtype=np.float32))
     with pytest.raises(UnsupportedFormatError):
         Waveform(np.array([], dtype=np.float32))
-    with pytest.raises(UnsupportedFormatError):
-        Waveform(np.array([0.1], dtype=np.float32), sample_rate_hz=8000)

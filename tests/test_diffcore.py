@@ -747,7 +747,7 @@ def test_max_pool_negative_gradient_on_tied_zeros(op, reference, shape):
 
 
 def test_adam_zero_gradient_keeps_params():
-    p = {"w": dc.Tensor(np.array([1.0, -2.0]), requires_grad=True, dtype=np.float64)}
+    p = {"w": dc.Tensor(np.array([1.0, -2.0]), requires_grad=True)}
     st = dc.AdamState.for_params(p)
     dc.adam_step(p, {"w": np.zeros(2)}, st, lr=1e-3)
     np.testing.assert_array_equal(p["w"].data, [1.0, -2.0])
@@ -756,14 +756,14 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_first_step_matches_hand_formula():
     # p=0, g=1, lr=1e-5: bias-corrected first step is -lr / (1 + eps)
-    p = {"w": dc.Tensor(np.array([0.0]), requires_grad=True, dtype=np.float64)}
+    p = {"w": dc.Tensor(np.array([0.0]), requires_grad=True)}
     st = dc.AdamState.for_params(p)
     dc.adam_step(p, {"w": np.array([1.0])}, st, lr=1e-5)
     assert p["w"].data[0] == pytest.approx(-1e-5, abs=1e-9)
 
 
 def test_adam_constant_gradient_monotone():
-    p = {"w": dc.Tensor(np.array([0.5]), requires_grad=True, dtype=np.float64)}
+    p = {"w": dc.Tensor(np.array([0.5]), requires_grad=True)}
     st = dc.AdamState.for_params(p)
     prev = p["w"].data[0]
     for _ in range(100):

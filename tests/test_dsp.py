@@ -134,6 +134,23 @@ def test_filterbank_covers_interior_bins():
     assert np.all(fb[:, interior].sum(axis=0) > 0)
 
 
+def test_filterbank_is_built_once_per_config_and_read_only():
+    """Features of many clips, through extract_features and the encoders'
+    prepare_input, build the filterbank of the one config once."""
+    from protoaudio.encoders import EncoderSpec, build_encoder
+    build_mel_filterbank.cache_clear()
+    encoders = [build_encoder(EncoderSpec(kind, "desk")) for kind in
+                ("vgg", "lstm", "sincnet+vgg", "sincnet+lstm")]
+    for seed in range(3):
+        w = synth_clip(TimbreProfile(300.0 + 100 * seed), 0.5, seed=seed)
+        extract_features(w, FrontendConfig())
+        for enc in encoders[:2]:
+            enc.prepare_input(w)
+    info = build_mel_filterbank.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 8, 1)
+    assert not build_mel_filterbank(CFG).flags.writeable
+
+
 def test_filterbank_too_dense_raises():
     with pytest.raises(ConfigError):
         build_mel_filterbank(FrontendConfig(n_mels=300))

@@ -75,6 +75,19 @@ def test_unknown_kind_rejected():
         EncoderSpec("vgg", "huge")
 
 
+def test_build_encoder_takes_only_the_fixed_front_end():
+    """The front end is fixed: build_encoder accepts FrontendConfig() in its
+    second place, as no config at all, and rejects any other config."""
+    spec = EncoderSpec("lstm", "desk")
+    named, unnamed = build_encoder(spec, FrontendConfig(), 3), build_encoder(spec, seed=3)
+    assert named.state_dict().keys() == unnamed.state_dict().keys()
+    for name, value in named.state_dict().items():
+        np.testing.assert_array_equal(value, unnamed.state_dict()[name])
+    for frontend in (FrontendConfig(n_mels=40), FrontendConfig(hop_samples=80)):
+        with pytest.raises(ConfigError, match="fixed front end"):
+            build_encoder(spec, frontend, 3)
+
+
 # -- windowed CNN -----------------------------------------------------------------
 
 
@@ -537,8 +550,8 @@ def test_composed_parameter_names_and_values(kind, head_cls):
     head_kind = kind.split("+")[1]
     spec = EncoderSpec(kind, "desk")
     for prefix, owned, direct in (
-            ("sinc", enc.sinc, SincNetEncoder(spec, FRONTEND, seed)),
-            (head_kind, enc.head, head_cls(spec, FRONTEND, seed + 1))):
+            ("sinc", enc.sinc, SincNetEncoder(spec, seed)),
+            (head_kind, enc.head, head_cls(spec, seed + 1))):
         for name, p in owned.params.items():
             assert enc.params[f"{prefix}/{name}"] is p
             np.testing.assert_array_equal(p.data, direct.params[name].data)

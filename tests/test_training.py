@@ -12,6 +12,7 @@ from protoaudio.errors import (
     CheckpointMismatchError,
     ConfigError,
     InsufficientClassesError,
+    InsufficientExamplesError,
     NonFiniteValueError,
     ShapeMismatchError,
 )
@@ -180,6 +181,22 @@ def test_validation_split_without_an_episode_fails_when_the_trainer_is_built():
         result = train(StubEncoder(), stub_split(), small, cfg, loader=stub_loader,
                        val_metric=val_metric)
         assert result.val_episodes is None and result.episodes_run == cfg.max_episodes
+
+
+def test_validation_episodes_are_drawn_at_the_first_check():
+    """The episodes come from the "<seed>/val" stream when the first check
+    falls due; a validation split with a class too small for an episode
+    still fails when the Trainer is built."""
+    cfg = tiny_cfg(max_episodes=10, eval_interval=5)
+    trainer = Trainer(StubEncoder(), stub_split(), stub_split(), cfg, loader=stub_loader)
+    for _ in range(4):
+        trainer.step()
+    assert trainer.val_episodes is None
+    trainer.step()
+    assert trainer.val_episodes == sample_episodes(stub_split(), cfg, cfg.val_episodes, "1/val")
+    short = {**stub_split(), "c2": ["c2/clip0", "c2/clip1", "c2/clip2"]}
+    with pytest.raises(InsufficientExamplesError, match="class 'c2' has 3 clips, episode needs 4"):
+        Trainer(StubEncoder(), stub_split(), short, cfg, loader=stub_loader)
 
 
 def test_trace_seams_of_the_benchmark_see_training(monkeypatch):
@@ -401,6 +418,39 @@ def test_only_episodes_within_the_margin_are_rescored(monkeypatch):
     assert sum(rescored) >= 1
 
 
+def margin_trial():
+    """A case a seeded search over offset tables found: 120 embeddings of
+    width d = 2048, a common offset 1e4·N(0, 1) plus 3e-5·N(0, 1) each, and
+    500 1-shot 2-way 5-query episodes."""
+    rng = np.random.default_rng(5)
+    split = stub_split(6, 20)
+    offset = 1e4 * rng.normal(size=2048)
+    table = {p: offset + 3e-5 * rng.normal(size=2048) for clips in split.values() for p in clips}
+    return table, sample_episodes(split, tiny_cfg(n_shot=1, k_way=2, q_query=5), 500, "5/eval")
+
+
+def test_score_margin_keeps_its_relative_term():
+    """On the margin trial, |q|² − 2·q·p + |p|² puts some query nearer the
+    wrong one of its two classes by more than the margin with γ_1 in place of
+    γ_{d+4}, but not by more than the γ_{d+4} one. A scorer with the smaller
+    margin would count that pick; score_episode rescores it."""
+    table, episodes = margin_trial()
+    assert list(score_episode(table, episodes)) == [reference_score_episode(table, e)
+                                                    for e in episodes]
+    rows = np.array([[table[p] for p in e.support_paths() + e.query_paths()] for e in episodes])
+    protos, queries = rows[:, :2], rows[:, 2:]                   # 1-shot: the support rows
+    q_sq = np.einsum("end,end->en", queries, queries)[:, :, None]
+    p_sq = np.einsum("ekd,ekd->ek", protos, protos)[:, None]
+    fast = q_sq - 2 * np.matmul(queries, protos.transpose(0, 2, 1)) + p_sq   # (e, 10, 2)
+    diff = queries[:, :, None] - protos[:, None]
+    exact = np.einsum("eqkd,eqkd->eqk", diff, diff)
+    scale = (np.sqrt(q_sq) + np.sqrt(p_sq)) ** 2
+    wrong = np.argmin(fast, axis=2) != np.argmin(exact, axis=2)
+    gap = np.abs(fast[:, :, 0] - fast[:, :, 1])
+    margin = {m: (2 * m * 2.0 ** -53 / (1 - m * 2.0 ** -53) * scale).sum(axis=2) for m in (1, 2052)}
+    assert np.any(wrong & (gap > margin[1]) & (gap <= margin[2052]))
+
+
 def test_evaluate_embeddings_rejects_no_episodes():
     split = stub_split(3, 6)
     with pytest.raises(ConfigError):
@@ -447,12 +497,13 @@ def test_evaluate_uses_test_episodes_default():
     assert TrainConfig().test_episodes == 1000
 
 
-def test_embed_table_matches_direct_embedding():
+def test_embed_table_matches_direct_embedding(monkeypatch):
+    monkeypatch.setattr(training, "EMBED_BATCH", 5)
     enc = StubEncoder()
     cache = InputCache(enc, stub_loader)
     split = stub_split(3, 4)
     paths = [p for clips in split.values() for p in clips]
-    table = embed_table(enc, cache, paths, batch_size=5)
+    table = embed_table(enc, cache, paths)
     direct = enc.embed_batch([cache.get(paths[0])]).data[0]
     np.testing.assert_allclose(table[paths[0]], direct, atol=1e-7)
 
