@@ -94,21 +94,20 @@ def build_train_config(values: dict) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
-def load_run_config(path: Path) -> dict:
-    if not path.is_file():
-        raise ConfigError(f"no config file at {path}")
+def load_run(config_path: Path):
+    """The TrainConfig, EncoderSpec and splits of the run a config file describes."""
+    if not config_path.is_file():
+        raise ConfigError(f"no config file at {config_path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = config_path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text ({exc})") from exc
-    return parse_config_text(text)
-
-
-def resolve_splits(values: dict, cfg: TrainConfig):
-    manifest_path = values["manifest"]
-    if not manifest_path:
+        raise ConfigError(f"{config_path} is not UTF-8 text ({exc})") from exc
+    values = parse_config_text(text)
+    cfg = build_train_config(values)
+    spec = EncoderSpec(values["encoder"], values["scale"])
+    if not values["manifest"]:
         raise ConfigError("config key 'manifest' is required")
-    manifest = load_manifest(manifest_path)
+    manifest = load_manifest(values["manifest"])
     try:
         ratios = tuple(float(r) for r in values["split_ratios"].split(","))
     except ValueError as exc:
@@ -117,15 +116,12 @@ def resolve_splits(values: dict, cfg: TrainConfig):
         min_per_class = int(values["min_per_class"])
     except ValueError as exc:
         raise ConfigError(f"bad min_per_class {values['min_per_class']!r}") from exc
-    return make_splits(manifest, ratios, min_per_class, seed=cfg.seed)
+    return cfg, spec, make_splits(manifest, ratios, min_per_class, seed=cfg.seed)
 
 
 def cmd_train(args) -> int:
     config_path = Path(args.config)
-    values = load_run_config(config_path)
-    cfg = build_train_config(values)
-    spec = EncoderSpec(values["encoder"], values["scale"])
-    split = resolve_splits(values, cfg)
+    cfg, spec, split = load_run(config_path)
     run = Path(args.out)
     run.mkdir(parents=True, exist_ok=True)
     # snapshot before anything else touches the run dir
@@ -172,17 +168,14 @@ def cmd_eval(args) -> int:
         checked_seed(args.seed)
     if not snapshot.is_file() or not ckpt.is_file():
         raise MissingRunError(f"{run}: missing config.snapshot or best.ckpt")
-    values = load_run_config(snapshot)
-    cfg = build_train_config(values)
-    spec = EncoderSpec(values["encoder"], values["scale"])
-    split = resolve_splits(values, cfg)
+    cfg, spec, split = load_run(snapshot)
     encoder = restore_encoder(ckpt, spec)
     cache = InputCache(encoder)
     part = split.part(args.split)
     seed = cfg.seed if args.seed is None else args.seed
     report = evaluate(encoder, cache, part, cfg, n_episodes=args.episodes, seed=seed)
     print(report.summary())
-    table = render_eval_table({spec.kind: {(cfg.n_shot, cfg.k_way): report}})
+    table = render_eval_table(spec.kind, cfg, report)
     record = {
         "encoder": spec.kind,
         "scale": spec.scale,

@@ -31,7 +31,7 @@ class AdamState:
 
 
 def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
-              state: AdamState, lr: float):
+              state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place on params; advances state by 1.
 
     Every parameter must have a gradient of matching shape. m, v and the
@@ -77,4 +77,3 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
         np.divide(a, b, out=a)
         p.data -= a
     state.step = t
-    return params, state

@@ -3,8 +3,9 @@
 The ops the encoders and the episode loss are built from, plus `mul` and
 `sum_all`, which `gradcheck` and the tests' losses use; each has an analytic
 backward rule. Layout conventions: feature maps are channels-last,
-i.e. conv1d works on (B, L, C) with kernels (K, C, O) and conv2d on
-(B, H, W, C) with kernels (KH, KW, C, O); both run on one kernel, `_conv`.
+i.e. conv1d works on (L, C) rows with kernels (K, C, O), clips laid end to
+end as everywhere else, and conv2d on (B, H, W, C) with kernels
+(KH, KW, C, O); both run on one kernel, `_conv`.
 Broadcasting is limited to bias-add over the last axis; everything else
 requires explicit matching shapes.
 """
@@ -512,6 +513,8 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     Rows at image borders are computed, then dropped by one slice of the
     grid. With one folded channel (`vgg` conv1) those GEMMs would have inner
     size 1 and run ~7x slower, so the forward runs one im2col GEMM instead.
+    conv1d's (L, C) rows come in as the view (1, L, 1, C), and their output
+    goes back as (Lo, O) rows.
     """
     B, H, W, C = x4.shape
     KH, KW, _, O = w4.shape
@@ -532,7 +535,7 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     taps = wpad.reshape(Jh, sh, Jw, sw, C, O).swapaxes(1, 2).reshape(Jh * Jw, D, O)
     offs = [jh * Wf + jw for jh in range(Jh) for jw in range(Jw)]
     N = B * Hf * Wf - offs[-1]          # the last kept row is N - 1
-    dropped = N != B * Ho * Wo          # False for B = 1 with Jw = 1
+    dropped = N != B * Ho * Wo          # False for conv1d: B = 1, Jw = 1
     grid = np.empty((B * Hf * Wf, O), dtype=dtype)
     acc = grid[:N]
     if D == 1:
@@ -546,7 +549,7 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     if bias is not None:
         acc += bias.data
     out = np.ascontiguousarray(grid.reshape(B, Hf, Wf, O)[:, :Ho, :Wo]) if dropped else acc
-    out = out.reshape((B, Ho, O) if x.ndim == 3 else (B, Ho, Wo, O))
+    out = out.reshape((Ho, O) if x.ndim == 2 else (B, Ho, Wo, O))
 
     def bwd(g):
         if dropped:
@@ -580,21 +583,23 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
 
 
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D convolution: x (B, L, C), w (K, C, O) -> (B, Lo, O).
+    """1-D convolution: x (L, C) rows, w (K, C, O) -> (Lo, O).
 
-    `_conv` on the one-pixel-wide views x[:, :, None] and w[:, None]: the
-    input folds into frames of `stride` samples and the kernel into
-    ceil(K / stride) taps. With B = 1 (every SincNet conv: its clips are laid
-    end to end) no output row is dropped and no zero-filled gradient is made.
+    `_conv` on the views x[None, :, None] (one image, one pixel wide) and
+    w[:, None]: the input folds into frames of `stride` samples and the
+    kernel into ceil(K / stride) taps, and no output row is dropped. At
+    stride 1, clips laid end to end with `padding` zero rows between them
+    each get the output rows of their own conv; SincNet's stack runs its
+    batch as one conv that way.
     """
     x, w = as_tensor(x), as_tensor(w)
     bias = as_tensor(b) if b is not None else None
-    if x.ndim != 3 or w.ndim != 3 or x.data.shape[2] != w.data.shape[1]:
+    if x.ndim != 2 or w.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeMismatchError(f"conv1d: shapes {x.data.shape} vs {w.data.shape}")
-    L, K = x.data.shape[1], w.data.shape[0]
+    L, K = x.data.shape[0], w.data.shape[0]
     if L + 2 * padding < K:
         raise ShapeMismatchError(f"conv1d: padded length {L + 2 * padding} < kernel {K}")
-    return _conv("conv1d", x, w, bias, x.data[:, :, None], w.data[:, None],
+    return _conv("conv1d", x, w, bias, x.data[None, :, None], w.data[:, None],
                  (stride, 1), (padding, 0))
 
 
@@ -643,16 +648,16 @@ def _max_pool(op_name: str, x: Tensor, windows: list, remainder=None) -> Tensor:
 
 
 def max_pool1d(x, k: int = 2) -> Tensor:
-    """Non-overlapping max pooling over time; a trailing remainder is dropped
-    and gets zero gradient."""
+    """Non-overlapping max pooling over the rows of x (L, C); a trailing
+    remainder is dropped and gets zero gradient."""
     x = as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeMismatchError(f"max_pool1d: need (B, L, C), got {x.data.shape}")
-    L2 = x.data.shape[1] // k
+    if x.ndim != 2:
+        raise ShapeMismatchError(f"max_pool1d: need (L, C), got {x.data.shape}")
+    L2 = x.data.shape[0] // k
     if L2 < 1:
-        raise ShapeMismatchError(f"max_pool1d: length {x.data.shape[1]} < pool {k}")
-    return _max_pool("max_pool1d", x, [np.s_[:, i:L2 * k:k] for i in range(k)],
-                     remainder=np.s_[:, L2 * k:])
+        raise ShapeMismatchError(f"max_pool1d: length {x.data.shape[0]} < pool {k}")
+    return _max_pool("max_pool1d", x, [np.s_[i:L2 * k:k] for i in range(k)],
+                     remainder=np.s_[L2 * k:])
 
 
 def max_pool2d(x, k: int = 2) -> Tensor:

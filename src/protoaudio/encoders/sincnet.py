@@ -3,10 +3,12 @@
 The first layer convolves the waveform with band-pass FIR kernels whose low
 and high cutoffs are the learnable parameters, initialized to mel-spaced bands.
 The map then passes through log(|x| + 1e-6) (one op, `log_abs`) ->
-max-pool(2) and a small two-layer 1-D conv stack. Standalone, the map is
-time-averaged into the embedding; composed variants hand the batch's packed
-maps to the windowed-CNN or LSTM encoder's embed_rows as if they were packed
-feature frames (the stack width equals the feature width, 64, at both scales).
+max-pool(2) and a small two-layer 1-D conv stack. A batch runs as one pass:
+every conv1d and the pool take the whole batch as packed (L, C) rows, the
+clips laid end to end. Standalone, the map is time-averaged into the
+embedding; composed variants hand the batch's packed maps to the
+windowed-CNN or LSTM encoder's embed_rows as if they were packed feature
+frames (the stack width equals the feature width, 64, at both scales).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from ..diffcore import (
     log_abs,
     max_pool1d,
     relu,
-    reshape,
     segment_mean,
     sinc_kernel,
 )
@@ -122,7 +123,7 @@ class SincNetEncoder(Encoder):
         p = self.params
         w = sinc_kernel(p["theta_low"], p["theta_band"], MIN_BAND_HZ / SAMPLE_RATE,
                         self._window)                                    # (K, 1, F)
-        h = conv1d(Tensor(wave.reshape(1, -1, 1)), w, stride=stride)
+        h = conv1d(Tensor(wave[:, None]), w, stride=stride)
         h = max_pool1d(log_abs(h, LOG_EPS), 2)
 
         within = np.arange(frames.sum()) - np.repeat(np.cumsum(frames) - frames, frames)
@@ -133,9 +134,9 @@ class SincNetEncoder(Encoder):
         keep = np.full(layout.size, -1)
         keep[rows] = rows
         for i, index in ((1, layout), (2, keep)):
-            h = reshape(gather_rows(reshape(h, h.shape[1:]), index), (1, index.size, h.shape[2]))
-            h = relu(conv1d(h, p[f"conv{i}_w"], p[f"conv{i}_b"], padding=pad))
-        return gather_rows(reshape(h, h.shape[1:]), rows), frames.tolist()
+            h = relu(conv1d(gather_rows(h, index), p[f"conv{i}_w"], p[f"conv{i}_b"],
+                            padding=pad))
+        return gather_rows(h, rows), frames.tolist()
 
     def embed_batch(self, inputs: Sequence) -> Tensor:
         return segment_mean(*self.packed_maps(inputs))

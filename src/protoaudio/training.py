@@ -387,20 +387,10 @@ def restore_encoder(path, spec: EncoderSpec) -> Encoder:
 # -- report rendering ----------------------------------------------------------------
 
 
-def render_eval_table(results: Mapping[str, Mapping[tuple, EvalReport]]) -> str:
-    """Plain-text accuracy table: one row per encoder, one column per (shot, way)."""
-    columns = sorted({key for row in results.values() for key in row})
-    headers = ["encoder"] + [f"{n}-shot {k}-way" for n, k in columns]
-    rows = []
-    for kind in sorted(results):
-        cells = [kind]
-        for key in columns:
-            report = results[kind].get(key)
-            cells.append(f"{100 * report.mean_accuracy:.1f}%" if report else "-")
-        rows.append(cells)
-    widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for cells in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-    return "\n".join(lines) + "\n"
+def render_eval_table(kind: str, cfg: TrainConfig, report: EvalReport) -> str:
+    """Plain-text accuracy table of one encoder at the run's (shot, way)."""
+    header = ("encoder", f"{cfg.n_shot}-shot {cfg.k_way}-way")
+    row = (kind, f"{100 * report.mean_accuracy:.1f}%")
+    widths = [max(len(h), len(c)) for h, c in zip(header, row)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + "\n"
+                   for cells in (header, ["-" * w for w in widths], row))

@@ -120,17 +120,18 @@ def op_instances(rng):
              lambda a, lab=labels: dc.cross_entropy(a, lab), [u(r, c)]),
             ("conv1d",
              lambda x, w, b, s=stride1, p=pad1: dc.conv1d(x, w, b, stride=s, padding=p),
-             [u(2, dims(8, 12), 2), u(dims(3, 5), 2, 3), u(3)]),
+             [u(2 * dims(8, 12), 2), u(dims(3, 5), 2, 3), u(3)]),     # 2 clips end to end
             ("conv1d",                                   # K not a multiple of the stride
              lambda x, w, b, s=fold, p=pad1: dc.conv1d(x, w, b, stride=s, padding=p),
-             [u(dims(1, 2), fold_taps + dims(0, 2 * fold), 2), u(fold_taps, 2, 3), u(3)]),
+             [u(dims(1, 2) * (fold_taps + dims(0, 2 * fold)), 2), u(fold_taps, 2, 3), u(3)]),
             ("conv2d",
              lambda x, w, b, s=stride2: dc.conv2d(x, w, b, stride=s, padding=1),
              [u(2, dims(4, 6), dims(4, 6), 2), u(3, 3, 2, 3), u(3)]),
             ("conv2d",                                   # single channel: one im2col GEMM
              lambda x, w, b, s=stride2: dc.conv2d(x, w, b, stride=s, padding=1),
              [u(2, dims(4, 6), dims(4, 6), 1), u(3, 3, 1, 2), u(2)]),
-            ("max_pool1d", lambda x: dc.max_pool1d(x, 2), [spread((2, dims(6, 9), 2))]),
+            ("max_pool1d", lambda x: dc.max_pool1d(x, 2),   # 2 ragged clips end to end
+             [spread((dims(6, 9) + dims(6, 9), 2))]),
             ("max_pool2d", lambda x: dc.max_pool2d(x, 2), [spread((2, 4, 2 * dims(2, 4), 2))]),
             ("sinc_kernel",
              lambda tl, tb: dc.sinc_kernel(tl, tb, SINC_FLOOR, np.hamming(13)),

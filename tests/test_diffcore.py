@@ -249,7 +249,7 @@ def test_non_grad_leaves_absent_from_map():
 
 
 @pytest.mark.parametrize("op,x_shape,w_shape", [
-    (lambda x, w, b: dc.conv1d(x, w, b, stride=2, padding=1), (2, 11, 3), (5, 3, 4)),
+    (lambda x, w, b: dc.conv1d(x, w, b, stride=2, padding=1), (22, 3), (5, 3, 4)),
     (lambda x, w, b: dc.conv2d(x, w, b, padding=1), (2, 4, 6, 3), (3, 3, 3, 4)),
     (lambda x, w, b: dc.conv2d(x, w, b, padding=1), (2, 4, 6, 1), (3, 3, 1, 4)),
 ], ids=["conv1d", "conv2d", "conv2d_single_channel"])
@@ -387,42 +387,40 @@ def test_single_channel_conv2d_matches_shifted_gemms(stride, padding):
 
 
 def im2col_conv1d(x, w, b=None, stride=1, padding=0):
-    """The im2col conv1d that the stride-folded one replaced: one (B·Lo, K·C)
-    column matrix, kept for the backward, and one GEMM."""
+    """The im2col conv1d that the stride-folded one replaced, on (L, C) rows:
+    one (Lo, K·C) column matrix, kept for the backward, and one GEMM."""
     x, w = dc.as_tensor(x), dc.as_tensor(w)
     bias = dc.as_tensor(b) if b is not None else None
-    B, L, C = x.data.shape
+    L, C = x.data.shape
     K, _, O = w.data.shape
     Lp = L + 2 * padding
     Lo = (Lp - K) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
-    win = sliding_window_view(xp, K, axis=1)[:, ::stride]      # (B, Lo, C, K)
-    col = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(B * Lo, K * C)
+    xp = np.pad(x.data, ((padding, padding), (0, 0))) if padding else x.data
+    win = sliding_window_view(xp, K, axis=0)[::stride]      # (Lo, C, K)
+    col = np.ascontiguousarray(win.transpose(0, 2, 1)).reshape(Lo, K * C)
     wflat = w.data.reshape(K * C, O)
     out = col @ wflat
     if bias is not None:
         out = out + bias.data
-    out = out.reshape(B, Lo, O)
 
     def bwd(g):
-        gflat = g.reshape(B * Lo, O)
-        dw = (col.T @ gflat).reshape(K, C, O)
+        dw = (col.T @ g).reshape(K, C, O)
         dx = None
         if x.requires_grad:
-            dcol = (gflat @ wflat.T).reshape(B, Lo, K, C)
-            dxp = np.zeros((B, Lp, C), dtype=x.dtype)
+            dcol = (g @ wflat.T).reshape(Lo, K, C)
+            dxp = np.zeros((Lp, C), dtype=x.dtype)
             for k in range(K):
-                dxp[:, k:k + stride * Lo:stride] += dcol[:, :, k]
-            dx = dxp[:, padding:padding + L] if padding else dxp
+                dxp[k:k + stride * Lo:stride] += dcol[:, k]
+            dx = dxp[padding:padding + L] if padding else dxp
         if bias is None:
             return dx, dw
-        return dx, dw, gflat.sum(axis=0)
+        return dx, dw, g.sum(axis=0)
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return _finish("conv1d", inputs, out, bwd)
 
 
-@pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+@pytest.mark.parametrize("clips,w_shape,stride,padding", [
     ((1, 97, 64), (5, 64, 64), 1, 2),        # the SincNet stack convs
     ((1, 12800, 1), (251, 1, 64), 80, 0),    # the sinc layer
     ((3, 40, 4), (5, 4, 6), 1, 2),
@@ -431,11 +429,13 @@ def im2col_conv1d(x, w, b=None, stride=1, padding=0):
     ((2, 29, 2), (4, 2, 3), 4, 0),           # K equal to the stride
     ((1, 9, 2), (3, 2, 3), 5, 1),            # stride above K
 ], ids=["stack", "sinc", "stack-B3", "sinc-B2", "K7-s3", "K4-s4", "K3-s5"])
-def test_conv1d_matches_im2col(x_shape, w_shape, stride, padding):
+def test_conv1d_matches_im2col(clips, w_shape, stride, padding):
     """The stride-folded conv1d gives the im2col conv1d's output and its input,
-    weight and bias gradients in float64."""
-    rng = np.random.default_rng(x_shape[1] + stride)
-    x_data = rng.standard_normal(x_shape)
+    weight and bias gradients in float64, on `clips` (count, L, C) laid end
+    to end as one (count·L, C) buffer."""
+    n, L, C = clips
+    rng = np.random.default_rng(L + stride)
+    x_data = rng.standard_normal(clips).reshape(n * L, C)
     w_data = rng.standard_normal(w_shape) / np.sqrt(w_shape[0] * w_shape[1])
     b_data = rng.standard_normal(w_shape[2])
     results = []
@@ -449,6 +449,48 @@ def test_conv1d_matches_im2col(x_shape, w_shape, stride, padding):
     for got, want in zip(*results):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_conv1d_and_max_pool1d_reject_a_batch_axis():
+    """A (B, L, C) input, the layout before conv1d and max_pool1d took packed
+    rows, fails with its shape named instead of being read as rows."""
+    x = dc.Tensor(np.zeros((1, 40, 2)))
+    with pytest.raises(ShapeMismatchError, match=r"\(1, 40, 2\)"):
+        dc.conv1d(x, dc.Tensor(np.zeros((3, 2, 4))))
+    with pytest.raises(ShapeMismatchError, match=r"\(1, 40, 2\)"):
+        dc.max_pool1d(x, 2)
+
+
+@pytest.mark.parametrize("lengths", [(23, 1), (1, 9), (40, 17)])
+def test_conv1d_clips_end_to_end_each_get_their_own_rows(lengths):
+    """Two clips laid end to end with `pad` zero rows between them, as
+    SincNet's stack lays them, get from one padded conv1d the output rows
+    and input gradient rows of each clip's own conv1d: the batch
+    independence of the batch axis the op no longer has, in float64."""
+    rng = np.random.default_rng(sum(lengths))
+    K, C, O = 5, 3, 4
+    pad = K // 2
+    clips = [rng.standard_normal((n, C)) for n in lengths]
+    w, b = t64(rng.standard_normal((K, C, O))), t64(rng.standard_normal(O))
+    starts = (0, lengths[0] + pad)
+    packed = np.zeros((starts[1] + lengths[1], C))
+    for start, clip in zip(starts, clips):
+        packed[start:start + clip.shape[0]] = clip
+    rows = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
+    x = t64(packed)
+    with dc.Tape():
+        out = dc.gather_rows(dc.conv1d(x, w, b, padding=pad), rows)
+        weights = np.cos(np.arange(out.size)).reshape(out.shape)
+        dx = dc.backward(dc.sum_all(dc.mul(out, dc.Tensor(weights))))[x].data
+    for start, clip, n, at in zip(starts, clips, lengths, (0, lengths[0])):
+        xi = t64(clip)
+        with dc.Tape():
+            own = dc.conv1d(xi, w, b, padding=pad)
+            dxi = dc.backward(dc.sum_all(dc.mul(own, dc.Tensor(weights[at:at + n]))))[xi].data
+        np.testing.assert_allclose(out.data[at:at + n], own.data, rtol=0,
+                                   atol=1e-12 * np.abs(own.data).max())
+        np.testing.assert_allclose(dx[start:start + n], dxi, rtol=0,
+                                   atol=1e-12 * np.abs(dxi).max())
 
 
 def window_conv2d(x, w, b=None, stride=1, padding=0):
@@ -605,8 +647,8 @@ def test_matmul_add_falls_back_on_unsafe_layouts(gemm_calls):
 
 
 CONV_CASES = [
-    (dc.conv1d, (1, 400, 1), (251, 1, 8), dict(stride=80)),    # folds to 80 channels
-    (dc.conv1d, (3, 40, 6), (5, 6, 7), dict(padding=2)),
+    (dc.conv1d, (400, 1), (251, 1, 8), dict(stride=80)),       # folds to 80 channels
+    (dc.conv1d, (120, 6), (5, 6, 7), dict(padding=2)),          # 3 clips of 40 rows
     (dc.conv2d, (4, 12, 8, 8), (3, 3, 8, 16), dict(padding=1)),
     (dc.conv2d, (2, 9, 7, 3), (3, 3, 3, 4), dict(stride=2, padding=1)),
     (dc.conv2d, (2, 10, 6, 1), (3, 3, 1, 8), dict(padding=1)),   # im2col forward, n = 1 backward
@@ -673,15 +715,15 @@ def test_conv_bias_gradient_einsum_equals_axis_sum(dtype):
 
 
 def argmax_max_pool1d(x, g, k):
-    """max_pool1d by argmax over a (B, L2, k, C) reshape; g goes to the argmax."""
-    B, L, C = x.shape
+    """max_pool1d by argmax over an (L2, k, C) reshape; g goes to the argmax."""
+    L, C = x.shape
     L2 = L // k
-    v = x[:, :L2 * k].reshape(B, L2, k, C)
+    v = x[:L2 * k].reshape(L2, k, C)
     z = np.zeros_like(v)
-    np.put_along_axis(z, v.argmax(axis=2)[:, :, None, :], g[:, :, None, :], axis=2)
+    np.put_along_axis(z, v.argmax(axis=1)[:, None, :], g[:, None, :], axis=1)
     dx = np.zeros_like(x)
-    dx[:, :L2 * k] = z.reshape(B, L2 * k, C)
-    return v.max(axis=2), dx
+    dx[:L2 * k] = z.reshape(L2 * k, C)
+    return v.max(axis=1), dx
 
 
 def argmax_max_pool2d(x, g, k):
@@ -697,8 +739,8 @@ def argmax_max_pool2d(x, g, k):
 
 
 @pytest.mark.parametrize("op,reference,shape,k", [
-    (dc.max_pool1d, argmax_max_pool1d, (3, 199, 16), 3),
-    (dc.max_pool1d, argmax_max_pool1d, (2, 12, 4), 2),
+    (dc.max_pool1d, argmax_max_pool1d, (598, 16), 3),     # 3 clips of 199 rows, a remainder row
+    (dc.max_pool1d, argmax_max_pool1d, (24, 4), 2),       # 2 clips of 12 rows
     (dc.max_pool2d, argmax_max_pool2d, (2, 12, 8, 4), 2),
     (dc.max_pool2d, argmax_max_pool2d, (2, 9, 6, 3), 3),
 ], ids=["pool1d-k3-remainder", "pool1d-k2", "pool2d-k2", "pool2d-k3"])
@@ -719,7 +761,7 @@ def test_max_pool_matches_argmax_kernels(op, reference, shape, k):
 
 
 @pytest.mark.parametrize("op,reference,shape", [
-    (dc.max_pool1d, argmax_max_pool1d, (2, 9, 3)),
+    (dc.max_pool1d, argmax_max_pool1d, (19, 3)),          # 2 clips of 9 rows, a remainder row
     (dc.max_pool2d, argmax_max_pool2d, (2, 4, 6, 3)),
 ], ids=["pool1d", "pool2d"])
 def test_max_pool_negative_gradient_on_tied_zeros(op, reference, shape):
@@ -729,7 +771,7 @@ def test_max_pool_negative_gradient_on_tied_zeros(op, reference, shape):
     remainder included, is +0.0, not -0.0, as in the argmax kernels."""
     x = np.zeros(shape, dtype=np.float32)
     if op is dc.max_pool1d:
-        x[:, 1::4] = 1.0
+        x[1::4] = 1.0
     else:
         x[:, 1::2, 1::4] = 1.0
     with dc.Tape() as tape:
@@ -749,7 +791,7 @@ def test_max_pool_negative_gradient_on_tied_zeros(op, reference, shape):
 def test_adam_zero_gradient_keeps_params():
     p = {"w": dc.Tensor(np.array([1.0, -2.0]), requires_grad=True)}
     st = dc.AdamState.for_params(p)
-    dc.adam_step(p, {"w": np.zeros(2)}, st, lr=1e-3)
+    assert dc.adam_step(p, {"w": np.zeros(2)}, st, lr=1e-3) is None
     np.testing.assert_array_equal(p["w"].data, [1.0, -2.0])
     assert st.step == 1
 
@@ -858,10 +900,10 @@ def gradcheck_cases(rng):
         ("squared_euclidean", dc.squared_euclidean, [u(4, 3), u(5, 3)]),
         ("cross_entropy", lambda a: dc.cross_entropy(a, np.array([0, 2, 1])), [u(3, 4)]),
         ("conv1d", lambda x, w, b: dc.conv1d(x, w, b, stride=2, padding=1),
-         [u(2, 11, 3), u(5, 3, 4), u(4)]),
-        ("conv1d_plain", lambda x, w: dc.conv1d(x, w), [u(1, 9, 2), u(3, 2, 3)]),
+         [u(22, 3), u(5, 3, 4), u(4)]),
+        ("conv1d_plain", lambda x, w: dc.conv1d(x, w), [u(9, 2), u(3, 2, 3)]),
         ("conv1d_K7_stride3", lambda x, w, b: dc.conv1d(x, w, b, stride=3, padding=1),
-         [u(2, 14, 2), u(7, 2, 3), u(3)]),
+         [u(28, 2), u(7, 2, 3), u(3)]),
         ("gather_rows", lambda a: dc.gather_rows(a, [2, -1, 0, 5, -1, 3]), [u(6, 3)]),
         ("conv2d", lambda x, w, b: dc.conv2d(x, w, b, stride=1, padding=1),
          [u(2, 4, 6, 3), u(3, 3, 3, 4), u(4)]),
@@ -871,7 +913,8 @@ def gradcheck_cases(rng):
          [u(2, 5, 4, 1), u(3, 3, 1, 2), u(2)]),
         ("conv2d_3x2_stride2", lambda x, w, b: dc.conv2d(x, w, b, stride=2, padding=1),
          [u(2, 6, 5, 2), u(3, 2, 2, 3), u(3)]),
-        ("max_pool1d", lambda x: dc.max_pool1d(x, 2), [spread(rng, (2, 7, 3))]),
+        ("max_pool1d", lambda x: dc.max_pool1d(x, 2),      # 2 clips of 7 rows, a remainder row
+         [spread(rng, (15, 3))]),
         ("max_pool2d", lambda x: dc.max_pool2d(x, 2), [spread(rng, (2, 4, 6, 3))]),
         ("sinc_kernel",      # the last filter has f1 clamped, the one before f2
          lambda tl, tb: dc.sinc_kernel(tl, tb, 0.01, np.hamming(15)),

@@ -550,13 +550,14 @@ def test_checkpoint_spec_mismatch_rejected(tmp_path):
 
 
 def test_render_eval_table():
-    results = {
-        "vgg": {(5, 5): EvalReport(0.935, 0.01, 0.92, 0.95, 100),
-                (1, 5): EvalReport(0.799, 0.01, 0.78, 0.82, 100)},
-        "lstm": {(5, 5): EvalReport(0.865, 0.01, 0.85, 0.88, 100)},
-    }
-    table = render_eval_table(results)
-    lines = table.splitlines()
-    assert "1-shot 5-way" in lines[0] and "5-shot 5-way" in lines[0]
-    assert any(row.startswith("vgg") and "93.5%" in row for row in lines)
-    assert any(row.startswith("lstm") and "-" in row for row in lines)
+    """One encoder at the run's (shot, way): the header and the rule, then
+    the row, each column as wide as its widest cell."""
+    report = EvalReport(0.935, 0.01, 0.92, 0.95, 100)
+    assert render_eval_table("vgg", TrainConfig(), report) == (
+        "encoder  5-shot 5-way\n"
+        "-------  ------------\n"
+        "vgg      93.5%       \n")
+    assert render_eval_table("sincnet+lstm", TrainConfig(n_shot=1, k_way=20), report) == (
+        "encoder       1-shot 20-way\n"
+        "------------  -------------\n"
+        "sincnet+lstm  93.5%        \n")
