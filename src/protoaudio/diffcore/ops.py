@@ -30,11 +30,18 @@ DIFFERENTIABLE_OPS = (
 )
 
 
+def _recording_tape(inputs: tuple):
+    """The tape that will record an op on `inputs`: the active one, if any
+    input requires grad; else None, and the op runs forward-only."""
+    tape = active_tape()
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
 def _finish(op_name: str, inputs: tuple, out_data: np.ndarray, backward_fn) -> Tensor:
     guard_finite(out_data, op_name)
     out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    tape = _recording_tape(inputs)
+    if tape is not None:
         tape.record(op_name, inputs, out, backward_fn)
     return out
 
@@ -321,15 +328,25 @@ def lstm_sequence(x, wx, b, wh, lengths: Sequence[int]) -> Tensor:
 
     The rows are scattered once into a time-major (T·B, D) buffer with the
     clips longest first, so the n_t clips still running at step t are the
-    first n_t rows of that step. One GEMM writes the input projection of that
-    buffer straight into the (T, B, 4H) gate buffer (Appleyard, Kočiský &
-    Blunsom 2016), so no (N, 4H) array is made; each step then adds b and
-    one (n_t, H) @ (H, 4H) recurrent GEMM to its running rows, as with packed
-    sequences. The gate activations overwrite the buffer in place, and c,
-    tanh(c) and h are kept per step. The backward is analytic BPTT; it
-    overwrites the buffer with the gate gradients, so it runs once. Rows of
-    finished clips stay zero in every buffer, so d wx, d b and d wh are each
-    one pass over the time-major rows, and d x one GEMM gathered back.
+    first n_t rows of that step. Each step adds b and one (n_t, H) @ (H, 4H)
+    recurrent GEMM to its running rows' input projection, as with packed
+    sequences, applies the gate activations in place and scatters its hidden
+    rows straight into the (N, H) output.
+
+    When a tape records (see `_recording_tape`), BPTT needs every step: one
+    GEMM writes the projection of the whole buffer into a (T, B, 4H) gate
+    buffer (Appleyard, Kočiský & Blunsom 2016), so no (N, 4H) array is made,
+    and c, tanh(c) and h are kept per step. The backward is analytic BPTT; it
+    overwrites the gate buffer with the gate gradients, so it runs once. Rows
+    of finished clips stay zero in every buffer, so d wx, d b and d wh are
+    each one pass over the time-major rows, and d x one GEMM gathered back.
+
+    When none records, only the current step is kept (Gruslys et al. 2016):
+    h and c live in two-slot rings, tanh(c) in one slot, and each step
+    projects its B slot rows into a (B, 4H) buffer. The same loop runs both
+    ways, and the results are the same bits: numpy runs a one-row product as
+    a matrix-vector product, which rounds differently, so no projection GEMM
+    has one row unless T·B = 1, and a single clip is projected whole.
     """
     x, wx, b, wh = as_tensor(x), as_tensor(wx), as_tensor(b), as_tensor(wh)
     lens = np.asarray(lengths, dtype=np.int64)
@@ -350,36 +367,46 @@ def lstm_sequence(x, wx, b, wh, lengths: Sequence[int]) -> Tensor:
             f"lstm_sequence: lengths {list(lengths)} do not tile {x.data.shape[0]} rows"
         )
     B, T = lens.size, int(lens.max())
-    slot = np.empty(B, dtype=np.int64)                         # clips longest first
-    slot[np.argsort(-lens, kind="stable")] = np.arange(B)
+    order = np.argsort(-lens, kind="stable")                   # clips longest first
+    slot = np.empty(B, dtype=np.int64)
+    slot[order] = np.arange(B)
     running = (lens[None, :] > np.arange(T)[:, None]).sum(axis=1)     # n_t
     starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    first = starts[order]                                      # each slot's first row
     # flat (t, slot) buffer row of every input row
     rows = (np.arange(x.data.shape[0]) - np.repeat(starts, lens)) * B + np.repeat(slot, lens)
     dtype = np.result_type(x.dtype, wx.dtype, b.dtype, wh.dtype)
     xs = np.zeros((T * B, D), dtype=dtype)
     xs[rows] = x.data
-    gates = np.empty((T, B, 4 * H), dtype=dtype)
-    np.matmul(xs, wx.data, out=gates.reshape(T * B, 4 * H))
-    # h[t + 1] and c[t + 1] are the state after step t; h[0] = c[0] = 0
-    h = np.zeros((T + 1, B, H), dtype=dtype)
-    c = np.zeros((T + 1, B, H), dtype=dtype)
-    tc = np.zeros((T, B, H), dtype=dtype)
+    taped = _recording_tape((x, wx, b, wh)) is not None
+    per_step = not taped and B > 1     # a one-row projection would round differently
+    gates = np.empty((1 if per_step else T, B, 4 * H), dtype=dtype)
+    if not per_step:
+        np.matmul(xs, wx.data, out=gates.reshape(T * B, 4 * H))
+    # slot (t + 1) % S of h and c is the state after step t; slot 0 starts at 0
+    S = T + 1 if taped else 2
+    h = np.zeros((S, B, H), dtype=dtype)
+    c = np.zeros((S, B, H), dtype=dtype)
+    tc = np.zeros((S - 1, B, H), dtype=dtype)
+    out = np.empty((x.data.shape[0], H), dtype=dtype)
     for t in range(T):
-        n = running[t]
-        z = gates[t, :n]
+        n, now, new = running[t], t % S, (t + 1) % S
+        if per_step:
+            np.matmul(xs[t * B:(t + 1) * B], wx.data, out=gates[0])
+        z = gates[t % len(gates), :n]
         z += b.data                    # before h @ wh, rounding as (x @ wx + b) + h @ wh
         if t:
-            z += h[t, :n] @ wh.data
+            z += h[now, :n] @ wh.data
         i, f, g, o = (z[:, k * H:(k + 1) * H] for k in range(4))
         _sigmoid_(z[:, :2 * H])
         np.tanh(g, out=g)
         _sigmoid_(o)
-        np.multiply(i, g, out=c[t + 1, :n])
-        c[t + 1, :n] += f * c[t, :n]
-        np.tanh(c[t + 1, :n], out=tc[t, :n])
-        np.multiply(o, tc[t, :n], out=h[t + 1, :n])
-    out = h[1:].reshape(T * B, H)[rows]
+        np.multiply(i, g, out=c[new, :n])
+        c[new, :n] += f * c[now, :n]
+        tct = tc[t % len(tc), :n]
+        np.tanh(c[new, :n], out=tct)
+        np.multiply(o, tct, out=h[new, :n])
+        out[first[:n] + t] = h[new, :n]
 
     def bwd(gout):
         nonlocal gates
@@ -512,7 +539,9 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     into their output rows through `_matmul_add` (β = 1), with no temporary.
     Rows at image borders are computed, then dropped by one slice of the
     grid. With one folded channel (`vgg` conv1) those GEMMs would have inner
-    size 1 and run ~7x slower, so the forward runs one im2col GEMM instead.
+    size 1 and run ~7x slower, so the forward runs one im2col GEMM instead,
+    through the transpose of a (taps, rows) array filled one contiguous
+    tap row at a time.
     conv1d's (L, C) rows come in as the view (1, L, 1, C), and their output
     goes back as (Lo, O) rows.
     """
@@ -539,8 +568,10 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     grid = np.empty((B * Hf * Wf, O), dtype=dtype)
     acc = grid[:N]
     if D == 1:
-        col = np.stack([rows[off:off + N, 0] for off in offs], axis=1)
-        np.matmul(col, taps.reshape(Jh * Jw, O), out=acc)
+        col = np.empty((Jh * Jw, N), dtype=rows.dtype)
+        for j, off in enumerate(offs):
+            col[j] = rows[off:off + N, 0]
+        np.matmul(col.T, taps.reshape(Jh * Jw, O), out=acc)
         del col                         # before the output copy below
     else:
         np.matmul(rows[:N], taps[0], out=acc)

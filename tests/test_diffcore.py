@@ -8,6 +8,7 @@ import statistics
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -336,6 +337,35 @@ def test_lstm_sequence_backward_runs_once():
     node.backward_fn(np.ones(out.shape))
     with pytest.raises(TapeConsumedError):
         node.backward_fn(np.ones(out.shape))
+
+
+def test_lstm_sequence_frozen_inputs_under_a_tape_keep_no_bptt_state():
+    """Under an active Tape, inputs of which none requires grad run forward-
+    only: nothing records, the traced peak stays below one (T·B, 4H) gate
+    buffer, which the recorded forward reaches, and the states are the
+    recorded forward's bits."""
+    rng = np.random.default_rng(15)
+    lengths = [200] + list(rng.integers(1, 201, size=19))
+    arrays = [rng.standard_normal(s) for s in ((sum(lengths), 8), (8, 128), 128, (32, 128))]
+    gate_bytes = 200 * 20 * 128 * 8
+
+    def traced(grad):
+        inputs = [t64(a, grad) for a in arrays]
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with dc.Tape() as tape:
+                out = dc.lstm_sequence(*inputs, lengths)
+            return out.data, len(tape), tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    lean, lean_nodes, lean_peak = traced(False)
+    full, full_nodes, full_peak = traced(True)
+    assert (lean_nodes, full_nodes) == (0, 1)
+    assert lean_peak < gate_bytes <= full_peak
+    assert lean.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("index", [

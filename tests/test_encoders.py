@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -321,7 +323,7 @@ def set_nonzero_lstm_biases(enc, seed):
     for name, p in enc.params.items():
         leaf = name.rsplit("/", 1)[-1]
         if leaf.startswith("b_") or leaf == "by":
-            p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
+            p.data = rng.uniform(-0.5, 0.5, size=p.data.shape).astype(p.data.dtype)
 
 
 def unrolled_lstm(enc, inputs):
@@ -371,6 +373,57 @@ def test_lstm_sequence_matches_unrolled_encoder(kind):
     assert_matches_reference(enc, inputs, reference, rng)
     if kind == "sincnet+lstm":
         assert enc.sinc.packed_maps(inputs)[1] == list(steps)
+
+
+def lstm_inputs(kind, rng, steps):
+    """Inputs whose LSTM runs `steps` steps: feature frames, or for
+    `sincnet+lstm` waveforms (251-tap kernel at stride 80, then a 2x pool)."""
+    if kind == "lstm":
+        return [rand_feats(rng, t) for t in steps]
+    return [rng.uniform(-0.5, 0.5, size=251 + 80 * (2 * t - 1)).astype(np.float32)
+            for t in steps]
+
+
+@pytest.mark.parametrize("kind", ["lstm", "sincnet+lstm"])
+@pytest.mark.parametrize("steps", [
+    [1], [47], [96],                     # one clip: projected whole
+    [37, 118],
+    [700, 1, 351, 2, 64],
+    list(np.random.default_rng(24).integers(1, 701, size=12)),
+], ids=["B1-T1", "B1-T47", "B1-T96", "B2", "ragged5", "ragged12"])
+def test_forward_only_embedding_is_the_taped_embedding(kind, steps):
+    """With no tape recording, `lstm_sequence` keeps no BPTT state and
+    projects each step's slot rows on their own; the float32 embeddings are
+    the bits of a recorded forward, with nonzero biases."""
+    enc = make(kind, seed=3)
+    set_nonzero_lstm_biases(enc, seed=23)
+    inputs = lstm_inputs(kind, np.random.default_rng(len(steps)), [int(t) for t in steps])
+    forward_only = enc.embed_batch(inputs).data
+    with dc.Tape() as tape:
+        taped = enc.embed_batch(inputs).data
+    assert "lstm_sequence" in [node.op_name for node in tape.nodes]
+    assert forward_only.dtype == np.float32
+    assert forward_only.tobytes() == taped.tobytes()
+
+
+def test_forward_only_desk_lstm_embed_peaks_below_one_gate_buffer():
+    """A forward-only 100-clip desk embed, as validation and evaluation run
+    it, peaks below the (T·B, 4H) float32 gate buffer a recorded forward
+    allocates, let alone BPTT's h, c and tanh(c) histories."""
+    enc = make("lstm")
+    rng = np.random.default_rng(21)
+    steps = [118] + list(rng.integers(49, 119, size=99))
+    batch = lstm_inputs("lstm", rng, steps)
+    gate_bytes = 118 * 100 * 4 * enc.spec.dims.lstm_hidden * 4
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        enc.embed_batch(batch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < gate_bytes
 
 
 @pytest.mark.parametrize("kind", ["vgg", "lstm", "sincnet", "sincnet+vgg", "sincnet+lstm"])
