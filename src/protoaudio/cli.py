@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -124,14 +125,22 @@ def cmd_train(args) -> int:
     cfg, spec, split = load_run(config_path)
     run = Path(args.out)
     run.mkdir(parents=True, exist_ok=True)
-    # snapshot before anything else touches the run dir
-    write_atomic(run / "config.snapshot",
-                 config_path.read_text(encoding="utf-8").encode("utf-8"))
-    save_split(split, run / "splits")
-    # The previous run's results would not be of this snapshot's model.
-    for stale in [run / "history.jsonl", run / "best.ckpt", run / "last.ckpt",
-                  *run.glob("eval_*.txt"), *run.glob("eval_*.json")]:
-        stale.unlink(missing_ok=True)
+    # The snapshot and splits are staged; only once all are written do the
+    # previous run's results, not of this snapshot's model, make way for them.
+    staging = run / f".staging.{os.getpid()}"
+    try:
+        staging.mkdir()
+        write_atomic(staging / "config.snapshot",
+                     config_path.read_text(encoding="utf-8").encode("utf-8"))
+        save_split(split, staging / "splits")
+        for stale in [run / "history.jsonl", run / "best.ckpt", run / "last.ckpt",
+                      *run.glob("eval_*.txt"), *run.glob("eval_*.json")]:
+            stale.unlink(missing_ok=True)
+        (run / "splits").mkdir(exist_ok=True)
+        for new in [staging / "config.snapshot", *(staging / "splits").iterdir()]:
+            os.replace(new, run / new.relative_to(staging))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     encoder = build_encoder(spec, seed=cfg.seed)
     print(f"training {spec.kind} ({spec.scale}) seed={cfg.seed} "
           f"{cfg.n_shot}-shot {cfg.k_way}-way")

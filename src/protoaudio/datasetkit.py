@@ -103,7 +103,7 @@ def save_manifest(manifest: Manifest, path, relative_to=None) -> None:
             except ValueError:
                 pass
         lines.append(f"{clip}\t{','.join(sorted(e.labels))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,20 @@ def single_label_count(manifest: Manifest, chosen: Iterable[str]) -> int:
     return sum(1 for e in manifest.entries if len(e.labels & s) == 1)
 
 
+def _swap_gain(hits: np.ndarray, leaving, joining: np.ndarray) -> int:
+    """Change of J when the class with clip indices `leaving` (None for a plain
+    add) leaves S and the one with `joining` joins it, given `hits` = |labels & S|
+    per clip. Reads only those clips, and leaves `hits` as it was."""
+    if leaving is None:
+        h = hits[joining]
+        return int(np.count_nonzero(h == 0) - np.count_nonzero(h == 1))
+    h = hits[leaving]
+    hits[leaving] -= 1  # so a clip of both classes nets zero
+    gain = _swap_gain(hits, None, joining) + np.count_nonzero(h == 2) - np.count_nonzero(h == 1)
+    hits[leaving] += 1
+    return int(gain)
+
+
 def select_single_label_subset(manifest: Manifest, m_classes: int,
                                budget: int = 50_000):
     """Greedy construction, first-improvement swap search, budgeted restarts.
@@ -208,75 +222,59 @@ def select_single_label_subset(manifest: Manifest, m_classes: int,
     for idx, e in enumerate(manifest.entries):
         for label in e.labels:
             clips_with[label].append(idx)
-    row_of = {c: i for i, c in enumerate(classes)}
-    incidence = np.zeros((len(classes), len(manifest.entries)), dtype=np.int16)
-    for c, idxs in clips_with.items():
-        incidence[row_of[c], idxs] = 1
-
-    def fast_j(subset) -> int:
-        rows = [row_of[c] for c in subset]
-        return int(np.count_nonzero(incidence[rows].sum(axis=0) == 1))
-
+    clips_with = {c: np.array(idxs, dtype=np.intp) for c, idxs in clips_with.items()}
     hits = np.zeros(len(manifest.entries), dtype=np.int64)  # |labels & S| per clip
-    chosen: list = []
 
-    def gain(cls: str) -> int:
-        g = 0
-        for idx in clips_with[cls]:
-            if hits[idx] == 0:
-                g += 1
-            elif hits[idx] == 1:
-                g -= 1
-        return g
+    def swap(current: set, out_cls, in_cls) -> set:
+        hits[clips_with[out_cls]] -= 1
+        hits[clips_with[in_cls]] += 1
+        return (current - {out_cls}) | {in_cls}
 
+    chosen, j = set(), 0  # J is the sum of the gains of the moves made
     for _ in range(m_classes):
-        candidates = [c for c in classes if c not in chosen]
-        gains = {c: gain(c) for c in candidates}
-        best_gain = max(gains.values())
-        best = min(c for c in candidates if gains[c] == best_gain)  # ties: lowest id
-        chosen.append(best)
-        for idx in clips_with[best]:
-            hits[idx] += 1
+        gains = {c: _swap_gain(hits, None, clips_with[c]) for c in classes if c not in chosen}
+        best = max(gains, key=gains.get)  # the first in sorted order: ties to the lowest id
+        chosen.add(best)
+        hits[clips_with[best]] += 1
+        j += gains[best]
 
     evals = 0
 
     def local_search(current: set, j: int):
         """First-improvement single swaps until none improves or budget ends."""
         nonlocal evals
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            for out_cls in sorted(current):
-                for in_cls in sorted(c for c in classes if c not in current):
-                    if evals >= budget:
-                        return current, j
-                    evals += 1
-                    trial = (current - {out_cls}) | {in_cls}
-                    j_trial = fast_j(trial)
-                    if j_trial > j:
-                        current, j = trial, j_trial
-                        improved = True
-                        break
-                if improved:
+        while evals < budget:
+            for out_cls, in_cls in ((o, i) for o in sorted(current)
+                                    for i in classes if i not in current):
+                if evals >= budget:
+                    return current, j
+                evals += 1
+                gain = _swap_gain(hits, clips_with[out_cls], clips_with[in_cls])
+                if gain > 0:
+                    current, j = swap(current, out_cls, in_cls), j + gain
                     break
+            else:
+                break  # no swap improves
         return current, j
 
-    best_set, best_j = local_search(set(chosen), int(np.count_nonzero(hits == 1)))
+    current, j = local_search(chosen, j)
+    best_set, best_j = current, j
     # budget-bounded restarts from perturbed incumbents; single swaps alone
     # stall below target quality on ~10% of random instances (see ledger)
     rng = random.Random(0x5B5E7)
     n_outside = len(classes) - m_classes
     while evals < budget and n_outside > 0:
         kick = min(max(1, m_classes // 3), n_outside, m_classes)
-        perturbed = set(best_set)
-        for removed in rng.sample(sorted(perturbed), kick):
-            perturbed.remove(removed)
-        for added in rng.sample(sorted(set(classes) - perturbed), kick):
-            perturbed.add(added)
+        perturbed = best_set.difference(rng.sample(sorted(best_set), kick))
+        perturbed.update(rng.sample(sorted(set(classes) - perturbed), kick))
         evals += 1
-        candidate, j = local_search(perturbed, fast_j(perturbed))
+        # hits and J follow the last search's set; swap from it to the perturbed one
+        for out_cls, in_cls in zip(current - perturbed, perturbed - current):
+            j += _swap_gain(hits, clips_with[out_cls], clips_with[in_cls])
+            current = swap(current, out_cls, in_cls)
+        current, j = local_search(current, j)
         if j > best_j:
-            best_set, best_j = candidate, j
+            best_set, best_j = current, j
     return tuple(sorted(best_set)), best_j
 
 

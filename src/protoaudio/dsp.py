@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import SAMPLE_RATE, Waveform
+from .diffcore.checkpoint import write_atomic
 from .errors import ConfigError, DomainError
 
 FEATURE_MAGIC = b"LMEL"
@@ -140,7 +141,7 @@ def save_features(path, features: np.ndarray) -> None:
     if feats.ndim != 2:
         raise ConfigError(f"feature matrix must be 2-D, got shape {feats.shape}")
     header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, feats.shape[0], feats.shape[1])
-    Path(path).write_bytes(header + feats.tobytes())
+    write_atomic(path, header + feats.tobytes())
 
 
 def load_features(path) -> np.ndarray:

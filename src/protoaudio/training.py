@@ -93,9 +93,15 @@ class InputCache:
 class EvalReport:
     mean_accuracy: float
     std_error: float
-    ci95_low: float
-    ci95_high: float
     n_episodes: int
+
+    @property
+    def ci95_low(self) -> float:
+        return self.mean_accuracy - 1.96 * self.std_error
+
+    @property
+    def ci95_high(self) -> float:
+        return self.mean_accuracy + 1.96 * self.std_error
 
     def summary(self) -> str:
         return (
@@ -214,7 +220,7 @@ def evaluate_embeddings(embeddings: Mapping[str, np.ndarray],
     accs = score_episode(embeddings, episodes)
     mean = float(accs.mean())
     se = float(accs.std(ddof=0) / math.sqrt(len(accs)))
-    return EvalReport(mean, se, mean - 1.96 * se, mean + 1.96 * se, len(accs))
+    return EvalReport(mean, se, len(accs))
 
 
 def evaluate_episodes(encoder: Encoder, cache: InputCache,

@@ -183,17 +183,21 @@ def test_interrupted_train_keeps_each_finished_episode_on_disk(tmp_path, corpus,
 def test_train_write_failing_part_way_keeps_previous_run_file(trained_run, corpus, tmp_path,
                                                              target, disk_full):
     """Training again into an existing run directory: a snapshot or split
-    file whose write stops half-way leaves the previous file as it was."""
+    file whose write stops half-way leaves the previous file as it was, and
+    with it every other file of the previous run: nothing is replaced or
+    removed before all of the new snapshot and split files are written."""
     run = tmp_path / "rundir"
     shutil.copytree(trained_run, run)
     before = (run / target).read_bytes()
     listing = sorted(run.rglob("*"))
+    contents = {p: p.read_bytes() for p in listing if p.is_file()}
     config = write_config(tmp_path, corpus, seed="4")
     disk_full(Path(target).name)
     with pytest.raises(OSError):
         main(["train", "--config", str(config), "--out", str(run)])
     assert (run / target).read_bytes() == before
     assert sorted(run.rglob("*")) == listing
+    assert {p: p.read_bytes() for p in listing if p.is_file()} == contents
 
 
 def test_train_missing_manifest_exits_3(tmp_path, capsys):
@@ -324,6 +328,21 @@ def test_subset_command_worked_instance(tmp_path, capsys):
     kept = load_manifest(filtered)
     assert len(kept) == 3
     assert kept.is_single_label
+
+
+def test_subset_out_write_failing_part_way_keeps_previous_file(tmp_path, disk_full):
+    manifest = tmp_path / "multi.tsv"
+    manifest.write_text("1.wav\tA\n2.wav\tB\n3.wav\tA,B\n4.wav\tC\n")
+    filtered = tmp_path / "filtered.tsv"
+    assert main(["subset", "--manifest", str(manifest), "--classes", "1",
+                 "--out", str(filtered)]) == 0
+    before = filtered.read_bytes()
+    listing = sorted(tmp_path.iterdir())
+    disk_full(filtered.name)
+    with pytest.raises(OSError):
+        main(["subset", "--manifest", str(manifest), "--classes", "2", "--out", str(filtered)])
+    assert filtered.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == listing
 
 
 @pytest.mark.parametrize("classes", ["0", "-1"])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -27,6 +28,8 @@ from protoaudio.errors import (
 )
 from protoaudio.audio_io import load_wav
 from protoaudio.protonet import episode_loss, sample_episode
+
+import reference_subset
 
 
 def write_manifest(tmp_path, lines, name="m.tsv"):
@@ -222,6 +225,50 @@ def test_result_is_swap_local_optimal():
     for out_cls in chosen:
         for in_cls in set(m.classes) - chosen:
             assert single_label_count(m, (chosen - {out_cls}) | {in_cls}) <= j
+
+
+def equivalence_instances():
+    """Seeded manifests for the search against its reference: multi-label ones
+    of up to 24 classes, single-label ones, and m up to every class."""
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        m = random_multilabel_manifest(rng, max_classes=24, max_clips=200)
+        n = len(m.classes)
+        yield m, [1, n, int(rng.integers(1, n + 1))]
+    for _ in range(6):
+        n = int(rng.integers(2, 9))
+        m = Manifest(tuple(ManifestEntry(f"/s{k}.wav", frozenset({f"c{int(c)}"}))
+                           for k, c in enumerate(rng.integers(0, n, size=50))))
+        yield m, [1, len(m.classes), max(1, len(m.classes) // 2)]
+
+
+def test_subset_search_matches_reference():
+    """The running-sum search chooses the classes and reaches the J of the
+    search that recomputed J from a dense incidence matrix for every trial."""
+    for m, sizes in equivalence_instances():
+        for m_classes in sizes:
+            for budget in (0, 1, 7, 60, 400):
+                assert (select_single_label_subset(m, m_classes, budget)
+                        == reference_subset.select_single_label_subset(m, m_classes, budget))
+
+
+def test_subset_search_holds_no_classes_by_clips_array():
+    """1000 classes x 10,000 clips: the search's traced peak stays under half
+    of one int16 classes x clips array (20 MB)."""
+    rng = np.random.default_rng(9)
+    classes = [f"/m/{i:04d}" for i in range(1000)]
+    m = Manifest(tuple(
+        ManifestEntry(f"/c{k}.wav", frozenset(rng.choice(classes, int(rng.integers(1, 4)),
+                                                         replace=False).tolist()))
+        for k in range(10_000)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        select_single_label_subset(m, 20, budget=50)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
 
 
 def test_objective_not_monotone():

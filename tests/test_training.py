@@ -552,7 +552,7 @@ def test_checkpoint_spec_mismatch_rejected(tmp_path):
 def test_render_eval_table():
     """One encoder at the run's (shot, way): the header and the rule, then
     the row, each column as wide as its widest cell."""
-    report = EvalReport(0.935, 0.01, 0.92, 0.95, 100)
+    report = EvalReport(0.935, 0.01, 100)
     assert render_eval_table("vgg", TrainConfig(), report) == (
         "encoder  5-shot 5-way\n"
         "-------  ------------\n"
