@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .audio_io import load_wav
 from .datasetkit import (
+    check_saved_split,
     filter_to_subset,
     gen_synthetic_corpus,
     load_manifest,
@@ -178,6 +179,7 @@ def cmd_eval(args) -> int:
     if not snapshot.is_file() or not ckpt.is_file():
         raise MissingRunError(f"{run}: missing config.snapshot or best.ckpt")
     cfg, spec, split = load_run(snapshot)
+    check_saved_split(split, run / "splits")
     encoder = restore_encoder(ckpt, spec)
     cache = InputCache(encoder)
     part = split.part(args.split)

@@ -25,6 +25,8 @@ from .errors import (
     InsufficientExamplesError,
     ManifestError,
     ManifestParseError,
+    MissingRunError,
+    SplitMismatchError,
     TooFewClassesError,
 )
 
@@ -173,6 +175,24 @@ def save_split(split: FewShotSplit, out_dir) -> None:
         classes = sorted(split.part(name))
         write_atomic(out / f"{name}_classes.txt",
                      (header + "".join(c + "\n" for c in classes)).encode("utf-8"))
+
+
+def check_saved_split(split: FewShotSplit, split_dir) -> None:
+    """Check that each part of `split` has the classes `save_split` wrote to
+    split_dir: SplitMismatchError names the first part that differs and how,
+    MissingRunError a missing file."""
+    for name in ("train", "val", "test"):
+        path = Path(split_dir) / f"{name}_classes.txt"
+        if not path.is_file():
+            raise MissingRunError(f"{path}: no saved {name} split")
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+        saved = {line for line in lines if line and not line.startswith("#")}
+        now = set(split.part(name))
+        if saved != now:
+            raise SplitMismatchError(
+                f"{name} split: the manifest now gives {sorted(now - saved)} where the "
+                f"run's {path} has {sorted(saved - now)}"
+            )
 
 
 # -- single-label subset selection ----------------------------------------------

@@ -528,22 +528,26 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     """The one convolution kernel, on 4-D views x4 (B, H, W, C) and
     w4 (KH, KW, C, O) of x's and w's data, with (H, W) stride and padding.
 
-    The zero-padded input folds into cells of sh × sw pixels, and the cells
-    of all B images lie end to end as the rows of one (B·Hf·Wf, sh·sw·C)
-    array, Hf = Ho + Jh − 1 and Wf = Wo + Jw − 1: input no output reads is
-    not copied. The kernel folds into Jh·Jw taps of (sh·sw·C, O). Row f of
-    the full (B, Hf, Wf) output grid is Σ_j rows[f + off_j] @ tap_j with
-    off_j = jh·Wf + jw, so each tap is one GEMM over a contiguous slice of
-    rows, once forward and twice backward (Vasudevan, Anderson & Gregg 2017).
+    The input folds into cells of sh × sw pixels, laid end to end as the rows
+    of one (rows, sh·sw·C) array. Each image gets Hs = max(Ho, ⌈(H + ph)/sh⌉)
+    cell rows of Ws = max(Wo, ⌈(W + pw)/sw⌉) cells, with its pixels from
+    (ph, pw) on, and Jh zero cell rows follow the last image. So neighbours
+    share their zero border: the zeros under one image are the top padding
+    of the next, and those right of a pixel row the left padding of the
+    next row. The kernel folds into Jh·Jw taps of (sh·sw·C, O). Row f of the
+    (B, Hs, Ws) output grid is Σ_j rows[f + off_j] @ tap_j with
+    off_j = jh·Ws + jw, so each tap is one GEMM over a contiguous slice of
+    rows, once forward and twice backward (Vasudevan, Anderson & Gregg 2017),
+    and the GEMMs stop at the last kept row, N = ((B − 1)·Hs + Ho − 1)·Ws + Wo.
     The forward's taps and the input gradient's per-tap products sum straight
     into their output rows through `_matmul_add` (β = 1), with no temporary.
-    Rows at image borders are computed, then dropped by one slice of the
-    grid. With one folded channel (`vgg` conv1) those GEMMs would have inner
-    size 1 and run ~7x slower, so the forward runs one im2col GEMM instead,
-    through the transpose of a (taps, rows) array filled one contiguous
-    tap row at a time.
+    Grid rows past an image's Ho × Wo are computed, then dropped as the kept
+    rows of Wo·O floats are copied out, the bias added in the same pass. With
+    one folded channel (`vgg` conv1) those GEMMs would have inner size 1 and
+    run ~7x slower, so the forward runs one im2col GEMM instead, through the
+    transpose of a (taps, rows) array filled one contiguous tap row at a time.
     conv1d's (L, C) rows come in as the view (1, L, 1, C), and their output
-    goes back as (Lo, O) rows.
+    goes back as (Lo, O) rows: one image one pixel wide has no row to drop.
     """
     B, H, W, C = x4.shape
     KH, KW, _, O = w4.shape
@@ -552,20 +556,19 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     (sh, sw), (ph, pw) = stride, padding
     Ho, Wo = (H + 2 * ph - KH) // sh + 1, (W + 2 * pw - KW) // sw + 1
     Jh, Jw = -(-KH // sh), -(-KW // sw)
-    Hf, Wf = Ho + Jh - 1, Wo + Jw - 1
+    Hs, Ws = max(Ho, -(-(H + ph) // sh)), max(Wo, -(-(W + pw) // sw))
     D = sh * sw * C
     dtype = np.result_type(x4.dtype, w4.dtype)
-    cells = np.zeros((B, Hf * sh, Wf * sw, C), dtype=x4.dtype)
-    inside = cells[:, ph:ph + H, pw:pw + W]
-    inside[...] = x4[:, :inside.shape[1], :inside.shape[2]]
-    rows = cells.reshape(B, Hf, sh, Wf, sw, C).swapaxes(2, 3).reshape(B * Hf * Wf, D)
+    cells = np.zeros(((B * Hs + Jh) * sh, Ws * sw, C), dtype=x4.dtype)
+    cells[:B * Hs * sh].reshape(B, Hs * sh, Ws * sw, C)[:, ph:ph + H, pw:pw + W] = x4
+    rows = cells.reshape(B * Hs + Jh, sh, Ws, sw, C).swapaxes(1, 2).reshape(-1, D)
     wpad = np.zeros((Jh * sh, Jw * sw, C, O), dtype=w4.dtype)
     wpad[:KH, :KW] = w4
     taps = wpad.reshape(Jh, sh, Jw, sw, C, O).swapaxes(1, 2).reshape(Jh * Jw, D, O)
-    offs = [jh * Wf + jw for jh in range(Jh) for jw in range(Jw)]
-    N = B * Hf * Wf - offs[-1]          # the last kept row is N - 1
-    dropped = N != B * Ho * Wo          # False for conv1d: B = 1, Jw = 1
-    grid = np.empty((B * Hf * Wf, O), dtype=dtype)
+    offs = [jh * Ws + jw for jh in range(Jh) for jw in range(Jw)]
+    N = ((B - 1) * Hs + Ho - 1) * Ws + Wo    # the last kept row is N - 1
+    dropped = N != B * Ho * Wo              # False for conv1d: B = 1, Ws = 1
+    grid = np.empty((B * Hs * Ws, O), dtype=dtype)
     acc = grid[:N]
     if D == 1:
         col = np.empty((Jh * Jw, N), dtype=rows.dtype)
@@ -577,16 +580,19 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
         np.matmul(rows[:N], taps[0], out=acc)
         for off, tap in zip(offs[1:], taps[1:]):
             _matmul_add(rows[off:off + N], tap, acc)
-    if bias is not None:
-        acc += bias.data
-    out = np.ascontiguousarray(grid.reshape(B, Hf, Wf, O)[:, :Ho, :Wo]) if dropped else acc
+    kept = grid.reshape(B, Hs, Ws * O)[:, :Ho, :Wo * O]  # contiguous unless dropped
+    if bias is None:
+        out = np.ascontiguousarray(kept)
+    else:                               # long rows of Wo·O floats, not (N, O) rows of O
+        out = np.empty(kept.shape, dtype=dtype) if dropped else kept
+        np.add(kept, np.tile(bias.data, Wo), out=out)
     out = out.reshape((Ho, O) if x.ndim == 2 else (B, Ho, Wo, O))
 
     def bwd(g):
         if dropped:
-            gflat = np.empty((B * Hf * Wf, O), dtype=g.dtype)
-            grid4 = gflat.reshape(B, Hf, Wf, O)
-            grid4[:, Ho:] = 0               # zero the border rows only
+            gflat = np.empty((B * Hs * Ws, O), dtype=g.dtype)
+            grid4 = gflat.reshape(B, Hs, Ws, O)
+            grid4[:, Ho:] = 0               # zero the dropped rows only
             grid4[:, :Ho, Wo:] = 0
             grid4[:, :Ho, :Wo] = g.reshape(B, Ho, Wo, O)
             gflat = gflat[:N]
@@ -597,13 +603,12 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
         dw = dw[:KH, :KW].reshape(w.data.shape)
         dx = None
         if x.requires_grad:
-            drows = np.zeros((B * Hf * Wf, D), dtype=dtype)
+            drows = np.zeros(rows.shape, dtype=dtype)
             for off, tap in zip(offs, taps):
                 _matmul_add(gflat, tap.T, drows[off:off + N])
-            dcells = drows.reshape(B, Hf, Wf, sh, sw, C).swapaxes(2, 3)
-            dx = dcells.reshape(B, Hf * sh, Wf * sw, C)[:, ph:ph + H, pw:pw + W]
-            if dx.shape[1:3] != (H, W):     # input past the last cell: no output reads it
-                dx = np.pad(dx, ((0, 0), (0, H - dx.shape[1]), (0, W - dx.shape[2]), (0, 0)))
+            dcells = drows.reshape(B * Hs + Jh, Ws, sh, sw, C).swapaxes(1, 2)
+            dcells = dcells.reshape(-1, Ws * sw, C)[:B * Hs * sh]
+            dx = dcells.reshape(B, Hs * sh, Ws * sw, C)[:, ph:ph + H, pw:pw + W]
             dx = dx.reshape(x.data.shape)
         if bias is None:
             return dx, dw
@@ -618,10 +623,11 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     `_conv` on the views x[None, :, None] (one image, one pixel wide) and
     w[:, None]: the input folds into frames of `stride` samples and the
-    kernel into ceil(K / stride) taps, and no output row is dropped. At
-    stride 1, clips laid end to end with `padding` zero rows between them
-    each get the output rows of their own conv; SincNet's stack runs its
-    batch as one conv that way.
+    kernel into ceil(K / stride) taps. One image has no neighbour to share a
+    border with, so its GEMMs run over exactly its Lo output rows and none
+    is dropped. At stride 1, clips laid end to end with `padding` zero rows
+    between them each get the output rows of their own conv; SincNet's stack
+    runs its batch as one conv that way.
     """
     x, w = as_tensor(x), as_tensor(w)
     bias = as_tensor(b) if b is not None else None
@@ -636,7 +642,9 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
 
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution: x (B, H, W, C), w (KH, KW, C, O) -> (B, Ho, Wo, O),
-    by `_conv` with the same stride and padding along both axes."""
+    by `_conv` with the same stride and padding along both axes. The images
+    share their zero border there: at stride 1 and padding 1 each computes
+    (H + 1)(W + 1) grid rows, not the (H + 2)(W + 2) of a border of its own."""
     x, w = as_tensor(x), as_tensor(w)
     bias = as_tensor(b) if b is not None else None
     if x.ndim != 4 or w.ndim != 4 or x.data.shape[3] != w.data.shape[2]:

@@ -125,6 +125,12 @@ class CheckpointMismatchError(ProtoAudioError):
     exit_code = 3
 
 
+class SplitMismatchError(ProtoAudioError):
+    """The splits a run's manifest gives now disagree with the run's saved
+    splits/ files; names the part and the classes that differ."""
+    exit_code = 3
+
+
 class MissingRunError(ProtoAudioError):
     """Run directory does not exist or lacks required artifacts."""
     exit_code = 3

@@ -31,3 +31,12 @@ def test_traced_run_times_the_front_end(workload):
     metrics = run_workload(workload, trace=1)["metrics"]
     assert metrics["dsp.extract_features_s"]["value"] > 0
     assert metrics["encoders.prepare_input_s"]["value"] > 0
+
+
+@pytest.mark.parametrize("workload,conv", [("eval-vgg", "conv2d"), ("train-sincnet", "conv1d")])
+def test_traced_run_counts_its_convs(workload, conv):
+    """The tracer's seams hold on the evaluation path and the conv1d path:
+    a traced run passes its checks and counts its conv calls."""
+    result = run_workload(workload, trace=1)
+    assert result["correct"] is True
+    assert result["metrics"][f"diffcore.{conv}.calls"]["value"] > 0

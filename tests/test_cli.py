@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -302,6 +303,28 @@ def test_eval_missing_run_exits_3(tmp_path):
     assert main(["eval", "--run", str(tmp_path / "ghost")]) == 3
 
 
+def test_eval_of_a_run_whose_manifest_lost_a_class_exits_3(tmp_path, capsys):
+    """A manifest edited after training gives other splits; eval then names
+    the part whose classes differ and exits 3, before it writes a report,
+    rather than score the model on classes it may have trained on."""
+    _, manifest_path = gen_synthetic_corpus(tmp_path / "corpus", n_classes=10,
+                                            clips_per_class=6, seed=5)
+    run = tmp_path / "rundir"
+    config = write_config(tmp_path, manifest_path, max_episodes=2, eval_interval=2)
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+    lines = manifest_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    manifest_path.write_text("".join(line for line in lines if "class03" not in line),
+                             encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run)]) == 3
+    err = capsys.readouterr().err
+    part = re.match(r"data error: (train|val|test) split: the manifest now gives \[.*\] "
+                    r"where the run's .*_classes\.txt has \['class\d\d'", err)
+    assert part, err
+    assert f"{part.group(1)}_classes.txt" in err
+    assert not list(run.glob("eval_*"))
+
+
 # -- features / subset / synth -----------------------------------------------------
 
 
@@ -438,6 +461,8 @@ BAD_INPUTS = [
     ("eval-seed-negative", 2, None,
      lambda t, c: ["eval", "--run", str(fake_run(t, write_config(t, c).read_bytes())),
                    "--seed", "-3"]),
+    ("eval-splits-missing", 3, None,
+     lambda t, c: ["eval", "--run", str(fake_run(t, write_config(t, c).read_bytes()))]),
     ("eval-manifest-not-utf8", 3, None,
      lambda t, c: ["eval", "--run", str(fake_run(t, f"manifest = {t / NOT_UTF8}\n".encode()))]),
     ("subset-manifest-dir", 3, None,

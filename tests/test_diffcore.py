@@ -20,6 +20,8 @@ from protoaudio import diffcore as dc
 from protoaudio.diffcore import ops
 from protoaudio.diffcore.ops import _finish, _matmul_add
 from protoaudio.diffcore.tensor import _keep_freed_memory_mapped
+from protoaudio.encoders import EncoderSpec
+from protoaudio.encoders.vgg import _POOL_AFTER
 from protoaudio.errors import (
     ConfigError,
     CorruptCheckpointError,
@@ -742,6 +744,99 @@ def test_conv_bias_gradient_einsum_equals_axis_sum(dtype):
                   (12, 8, 64), (12, 8, 64), (6, 4, 64), (6, 4, 64)]:
         g = rng.standard_normal((50 * shape[0] * shape[1], shape[2])).astype(dtype)
         assert np.einsum("ij->j", g).tobytes() == g.sum(axis=0).tobytes()
+
+
+# -- images that share their zero border, against the kernel that padded each -----
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("C", [1, 3, 8])
+def test_conv2d_shared_border_matches_padded_kernel(C, stride, padding):
+    """conv2d, whose images share their zero border, gives the results of the
+    kernel that padded every image on all four sides (reference_ops), at
+    B = 1, 2 and 5 on 6 x 4, 12 x 8 and 7 x 5 maps, with 3 x 3, 3 x 2 and
+    input-sized kernels: in float64 all within 1e-12 of their largest entry,
+    in float32 the output, the input gradient and the bias gradient byte for
+    byte. The weight gradient also sums the zero gradient rows of another
+    grid, so in float32 it is held to 8 ulps of its largest entry. So is the
+    input gradient with one folded channel (C = 1 at stride 1): its per-tap
+    products are (N, O) @ (O, 1), which numpy runs as a matrix-vector
+    product whose last few rows round by their distance from row N."""
+    rng = np.random.default_rng(100 * C + 10 * stride + padding)
+    exact = (0, 1, 3) if C * stride > 1 else (0, 3)
+    for B in (1, 2, 5):
+        for H, W in ((6, 4), (12, 8), (7, 5)):
+            for KH, KW in ((3, 3), (3, 2), (H + 2 * padding, W + 2 * padding)):
+                for dtype in (np.float32, np.float64):
+                    data = (rng.standard_normal((B, H, W, C)).astype(dtype),
+                            (rng.standard_normal((KH, KW, C, 4))
+                             / np.sqrt(KH * KW * C)).astype(dtype),
+                            rng.standard_normal(4).astype(dtype))
+                    kwargs = dict(stride=stride, padding=padding)
+                    results = [conv_results(f, *data, kwargs)
+                               for f in (dc.conv2d, rops.padded_conv2d)]
+                    for i, (got, want) in enumerate(zip(*results)):
+                        assert got.shape == want.shape and got.dtype == want.dtype == dtype
+                        if dtype == np.float32 and i in exact:
+                            assert got.tobytes() == want.tobytes(), (B, H, W, KH, KW, i)
+                        else:
+                            scale = 1e-12 if dtype == np.float64 else 8 * np.finfo(dtype).eps
+                            np.testing.assert_allclose(got, want, rtol=0,
+                                                       atol=scale * np.abs(want).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("C", [1, 3, 8])
+@pytest.mark.parametrize("stride,K,padding", [(1, 3, 0), (1, 5, 2), (2, 5, 1), (3, 7, 2),
+                                              (3, 3, 0), (80, 251, 0), (80, 251, 125)])
+def test_conv1d_shared_border_matches_padded_kernel(dtype, C, stride, K, padding):
+    """conv1d is one image one pixel wide, so it computes the rows it did
+    before images shared their zero border: every result is byte-equal,
+    its weight gradient included, for clips packed end to end with
+    `padding` zero rows between them."""
+    rng = np.random.default_rng(1000 * C + stride + K + padding)
+    lengths = (K + 37, K + 1, 2 * K + 5)
+    starts = np.cumsum((0,) + tuple(n + padding for n in lengths[:-1]))
+    x = np.zeros((starts[-1] + lengths[-1], C), dtype=dtype)
+    for start, n in zip(starts, lengths):
+        x[start:start + n] = rng.standard_normal((n, C))
+    data = (x, (rng.standard_normal((K, C, 5)) / np.sqrt(K * C)).astype(dtype),
+            rng.standard_normal(5).astype(dtype))
+    kwargs = dict(stride=stride, padding=padding)
+    for got, want in zip(*(conv_results(f, *data, kwargs)
+                           for f in (dc.conv1d, rops.padded_conv1d))):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_desk_vgg_grids_share_one_zero_row_and_column_per_image(monkeypatch):
+    """Each desk `vgg` conv (3 x 3, padding 1) computes (H + 1)(W + 1) grid
+    rows per image, one zero row and one zero column shared with the next
+    image and the next pixel row, and stops at the last kept row; an image
+    with a zero border of its own would take (H + 2)(W + 2)."""
+    gemm_rows = []
+
+    def spy(a, b, out):
+        gemm_rows.append(a.shape[0])
+        _matmul_add(a, b, out)
+
+    monkeypatch.setattr(ops, "_matmul_add", spy)
+    (H, W), C = (96, 64), 1
+    for i, O in enumerate(EncoderSpec("vgg", "desk").dims.vgg_channels):
+        n = {}
+        for B in (1, 2):
+            gemm_rows.clear()
+            x = dc.Tensor(np.ones((B, H, W, C), np.float32), requires_grad=True)
+            w = dc.Tensor(np.ones((3, 3, C, O), np.float32), requires_grad=True)
+            with dc.Tape():
+                dc.backward(dc.sum_all(dc.conv2d(x, w, padding=1)))
+            assert len(set(gemm_rows)) == 1 and len(gemm_rows) >= 9
+            n[B] = gemm_rows[0]
+        assert n[2] - n[1] == (H + 1) * (W + 1), f"conv{i + 1}"
+        assert n[1] == (H - 1) * (W + 1) + W, f"conv{i + 1}"
+        if i in _POOL_AFTER:
+            H, W = H // 2, W // 2
+        C = O
 
 
 def argmax_max_pool1d(x, g, k):
