@@ -55,6 +55,7 @@ CONFIG_DEFAULTS = {
 
 def parse_config_text(text: str) -> dict:
     values = dict(CONFIG_DEFAULTS)
+    seen_at = {}   # key -> the line that set it
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -65,6 +66,10 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"config line {line_no}: unknown key {key!r}")
+        if key in seen_at:
+            raise ConfigError(f"config line {line_no}: key {key!r} already set on "
+                              f"line {seen_at[key]}")
+        seen_at[key] = line_no
         values[key] = value.strip()
     return values
 

@@ -15,8 +15,8 @@ Layout (all integers little-endian):
     32 raw bytes: SHA-256 of everything above
 
 Tensors are written in sorted-name order, so identical content yields
-identical bytes. The archive, like the run's other output files, is written
-through `write_atomic`.
+identical bytes, and no name appears twice. The archive, like the run's
+other output files, is written through `write_atomic`.
 """
 
 from __future__ import annotations
@@ -73,7 +73,11 @@ def save_archive(path, tensors: Mapping[str, np.ndarray], meta: dict | None = No
 
 
 def load_archive(path):
-    """Returns (tensors: dict[str, ndarray], meta: dict); verifies the checksum."""
+    """Returns (tensors: dict[str, ndarray], meta: dict); verifies the checksum.
+
+    An archive that breaks the layout, even under a valid checksum, raises
+    CorruptCheckpointError: metadata that is not a JSON object, a tensor name
+    that is not UTF-8 or that appears twice, a short or long body."""
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 4 + 32:
         raise CorruptCheckpointError(f"{path}: truncated archive")
@@ -100,11 +104,19 @@ def load_archive(path):
         meta = json.loads(take(meta_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpointError(f"{path}: bad metadata block ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise CorruptCheckpointError(f"{path}: metadata is a JSON {type(meta).__name__}, "
+                                     "not an object")
     (count,) = struct.unpack("<I", take(4))
     tensors = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpointError(f"{path}: tensor name is not UTF-8 ({exc})") from exc
+        if name in tensors:
+            raise CorruptCheckpointError(f"{path}: tensor {name!r} appears twice")
         tag, ndim = struct.unpack("<BB", take(2))
         if tag not in _DTYPE_FOR:
             raise CorruptCheckpointError(f"{path}: unknown dtype tag {tag}")

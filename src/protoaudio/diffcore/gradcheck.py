@@ -25,7 +25,8 @@ def gradcheck(op_fn: Callable[..., Tensor], arrays: Sequence[np.ndarray],
 
     op_fn maps len(arrays) Tensors to one Tensor; its output is reduced to a
     scalar through a fixed random weighting so every output element
-    contributes. Returns the worst observed error ratio (error / tolerance).
+    contributes. An analytic gradient must have its input's shape. Returns
+    the worst observed error ratio (error / tolerance).
     """
     params = [Tensor(np.asarray(a, dtype=np.float64).copy(), requires_grad=True)
               for a in arrays]
@@ -42,9 +43,13 @@ def gradcheck(op_fn: Callable[..., Tensor], arrays: Sequence[np.ndarray],
         loss = sum_all(mul(out, Tensor(weights)))
         grad_map = backward(loss)
 
+    name = getattr(op_fn, "__name__", op_fn)
     worst = 0.0
     for pi, p in enumerate(params):
-        analytic = grad_map[p].data if p in grad_map else np.zeros_like(p.data)
+        analytic = grad_map[p] if p in grad_map else np.zeros_like(p.data)
+        if analytic.shape != p.data.shape:
+            raise GradcheckFailure(f"{name}: input {pi} gradient shape {analytic.shape}, "
+                                   f"input shape {p.data.shape}")
         flat = p.data.reshape(-1)
         num = np.zeros_like(flat)
         for i in range(flat.size):
@@ -62,7 +67,7 @@ def gradcheck(op_fn: Callable[..., Tensor], arrays: Sequence[np.ndarray],
         if np.any(bad):
             j = int(np.argmax(ratio))
             raise GradcheckFailure(
-                f"{getattr(op_fn, '__name__', op_fn)}: input {pi} element {j}: "
+                f"{name}: input {pi} element {j}: "
                 f"analytic {analytic.reshape(-1)[j]:.8g} vs "
                 f"numeric {numeric.reshape(-1)[j]:.8g}"
             )

@@ -9,6 +9,8 @@ backward() consumes the tape: its sweep releases each recorded node, and with
 it the activations the node holds, as soon as it has passed the node, so a
 step's memory is freed during the sweep rather than by the cyclic garbage
 collector. A second backward() through the same tape raises TapeConsumedError.
+It returns each leaf's gradient as an ndarray in a map; a Tensor holds no
+gradient, so none outlives the step that reads it.
 
 Importing the module sets the process's glibc malloc policy so that memory the
 sweep frees stays mapped for the next step (see _keep_freed_memory_mapped).
@@ -62,7 +64,7 @@ def guard_finite(data: np.ndarray, op_name: str) -> None:
 class Tensor:
     """Shape + row-major buffer; leaves may carry requires_grad."""
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "requires_grad", "tape")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -72,7 +74,6 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
         self.tape = None  # set when an op on an active tape produced this tensor
 
     @property
@@ -141,9 +142,12 @@ class Tape:
 def backward(loss: Tensor) -> dict:
     """Reverse sweep from a scalar loss.
 
-    Returns {leaf Tensor: gradient Tensor} for every requires_grad leaf the
-    loss depends on, and sets each leaf's .grad. Gradients sum across fan-out.
-    Consumes the loss's tape: each node is released once the sweep passes it.
+    Returns {leaf Tensor: gradient ndarray} for every requires_grad leaf the
+    loss depends on, each in its leaf's shape, since every op's backward
+    returns its inputs' shapes. The leaves themselves are left unchanged, so a
+    gradient lives only as long as the caller keeps the map. Gradients sum
+    across fan-out. Consumes the loss's tape: each node is released once the
+    sweep passes it.
     """
     if loss.size != 1:
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.shape}")
@@ -175,14 +179,7 @@ def backward(loss: Tensor) -> dict:
             grads[key] = ig if acc is None else acc + ig
             if tensor.tape is None:
                 leaves[key] = tensor
-    result = {}
-    for key, leaf in leaves.items():
-        g = grads[key]
-        if g.shape != leaf.data.shape:
-            g = g.reshape(leaf.data.shape)
-        leaf.grad = g
-        result[leaf] = Tensor(g)
-    return result
+    return {leaf: grads[key] for key, leaf in leaves.items()}
 
 
 # glibc <malloc.h> parameter numbers.

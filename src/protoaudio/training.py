@@ -312,7 +312,7 @@ class Trainer:
             loss, self.train_accuracy = episode_loss(support, queries, episode.query_labels())
             grad_map = backward(loss)
         grads = {
-            name: grad_map[p].data if p in grad_map else np.zeros_like(p.data)
+            name: grad_map[p] if p in grad_map else np.zeros_like(p.data)
             for name, p in encoder.params.items()
         }
         loss_value = float(loss.item())
@@ -384,9 +384,14 @@ def load_encoder_checkpoint(path, spec: EncoderSpec):
 
 
 def restore_encoder(path, spec: EncoderSpec) -> Encoder:
+    """The encoder spec describes, with the checkpoint's parameters; a checkpoint
+    whose tensors do not fit the encoder raises CheckpointMismatchError."""
     tensors, _ = load_encoder_checkpoint(path, spec)
     encoder = build_encoder(spec)
-    encoder.load_state(tensors)
+    try:
+        encoder.load_state(tensors)
+    except ShapeMismatchError as exc:
+        raise CheckpointMismatchError(f"{path}: {exc}") from exc
     return encoder
 
 

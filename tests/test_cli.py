@@ -9,12 +9,14 @@ import pytest
 
 from protoaudio.audio_io import Waveform, load_wav, write_wav
 from protoaudio import errors
-from protoaudio.cli import CONFIG_DEFAULTS, build_train_config, main, parse_config_text
-from protoaudio.datasetkit import gen_synthetic_corpus, load_manifest
-from protoaudio.diffcore import load_archive
+from protoaudio.cli import (CONFIG_DEFAULTS, build_train_config, load_run, main,
+                            parse_config_text)
+from protoaudio.datasetkit import gen_synthetic_corpus, load_manifest, save_split
+from protoaudio.diffcore import load_archive, save_archive
 from protoaudio.dsp import load_features
+from protoaudio.encoders import build_encoder
 from protoaudio.errors import ConfigError
-from protoaudio.training import TrainConfig, Trainer, load_history
+from protoaudio.training import TrainConfig, Trainer, load_history, save_encoder_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -419,6 +421,25 @@ def fake_run(tmp_path, snapshot: bytes):
     return run
 
 
+def run_with_checkpoint(tmp_path, corpus, save):
+    """A run directory of the tiny config, with its saved splits, whose
+    best.ckpt save(path, encoder) writes for a fresh encoder of the config."""
+    config = write_config(tmp_path, corpus)
+    _, spec, split = load_run(config)
+    run = tmp_path / "ckpt_run"
+    run.mkdir()
+    shutil.copy(config, run / "config.snapshot")
+    save_split(split, run / "splits")
+    save(run / "best.ckpt", build_encoder(spec))
+    return run
+
+
+def repeated_key_config(tmp_path, corpus):
+    path = write_config(tmp_path, corpus)
+    path.write_text(path.read_text(encoding="utf-8") + "seed = 4\n", encoding="utf-8")
+    return path
+
+
 def truncated_wav(tmp_path, corpus):
     path = tmp_path / "short.wav"
     path.write_bytes(Path(load_manifest(corpus).entries[0].path).read_bytes()[:-101])
@@ -449,6 +470,8 @@ BAD_INPUTS = [
     ("train-history-dir", 3, None,
      lambda t, c: ["train", "--config", str(write_config(t, c)),
                    "--out", str(run_with_history_dir(t))]),
+    ("train-config-key-repeated", 2, None,
+     lambda t, c: ["train", "--config", str(repeated_key_config(t, c)), "--out", str(t / "r")]),
     ("train-config-seed-negative", 2, None,
      lambda t, c: ["train", "--config", str(write_config(t, c, seed="-1")),
                    "--out", str(t / "r")]),
@@ -463,6 +486,13 @@ BAD_INPUTS = [
                    "--seed", "-3"]),
     ("eval-splits-missing", 3, None,
      lambda t, c: ["eval", "--run", str(fake_run(t, write_config(t, c).read_bytes()))]),
+    ("eval-checkpoint-tensor-missing", 3, None,
+     lambda t, c: ["eval", "--run", str(run_with_checkpoint(t, c, lambda path, enc: (
+         save_encoder_checkpoint(path, enc, {name: a for name, a in enc.state_dict().items()
+                                             if name != "conv1_b"}))))]),
+    ("eval-checkpoint-metadata-list", 3, None,
+     lambda t, c: ["eval", "--run", str(run_with_checkpoint(t, c, lambda path, enc: (
+         save_archive(path, enc.state_dict(), [{"spec": enc.spec.header()}]))))]),
     ("eval-manifest-not-utf8", 3, None,
      lambda t, c: ["eval", "--run", str(fake_run(t, f"manifest = {t / NOT_UTF8}\n".encode()))]),
     ("subset-manifest-dir", 3, None,
@@ -495,8 +525,9 @@ def test_bad_input_exits_with_its_code_and_one_line(tmp_path, corpus, monkeypatc
                                                     code, env_seed, argv):
     """Directories where files belong (to read or to write), text that is not
     UTF-8, a truncated WAV, an existing file as the output directory, negative
-    seeds and a negative subset budget each end in one `<kind> error:` line
-    on stderr and their exit code."""
+    seeds, a negative subset budget, a repeated config key and a checkpoint
+    that is malformed or does not fit its encoder each end in one
+    `<kind> error:` line on stderr and their exit code."""
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("x\n")
     (tmp_path / NOT_UTF8).write_bytes("manifest = café\n".encode("latin-1"))
@@ -549,6 +580,11 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--config"])  # missing value
     assert exc.value.code == 2
+
+
+def test_parse_config_rejects_a_repeated_key_naming_both_lines():
+    with pytest.raises(ConfigError, match=r"line 4: key 'seed' already set on line 2"):
+        parse_config_text("# comment\nseed = 9\nlr = 0.01\n seed = 9\n")
 
 
 def test_parse_config_rejects_garbage():

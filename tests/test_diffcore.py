@@ -1,10 +1,12 @@
 import ast
 import ctypes
 import gc
+import hashlib
 import math
 import os
 import platform
 import statistics
+import struct
 import subprocess
 import sys
 import threading
@@ -45,8 +47,8 @@ def test_relu_subgradient():
     x = t64([-1.0, 2.0])
     with dc.Tape():
         loss = dc.sum_all(dc.relu(x))
-        dc.backward(loss)
-    np.testing.assert_array_equal(x.grad, [0.0, 1.0])
+        grads = dc.backward(loss)
+    np.testing.assert_array_equal(grads[x], [0.0, 1.0])
 
 
 def test_squared_euclidean_values():
@@ -58,16 +60,16 @@ def test_squared_euclidean_values():
 def test_backward_sum_gives_ones():
     x = t64(np.arange(12, dtype=np.float64).reshape(3, 4))
     with dc.Tape():
-        dc.backward(dc.sum_all(x))
-    np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
+        grads = dc.backward(dc.sum_all(x))
+    np.testing.assert_array_equal(grads[x], np.ones((3, 4)))
 
 
 def test_backward_product_rule():
     x, y = t64([3.0]), t64([4.0])
     with dc.Tape():
-        dc.backward(dc.sum_all(dc.mul(x, y)))
-    assert x.grad[0] == 4.0
-    assert y.grad[0] == 3.0
+        grads = dc.backward(dc.sum_all(dc.mul(x, y)))
+    assert grads[x][0] == 4.0
+    assert grads[y][0] == 3.0
 
 
 def test_softmax_cross_entropy_gradient_hand_case():
@@ -75,8 +77,8 @@ def test_softmax_cross_entropy_gradient_hand_case():
     logits = t64([[0.0, 0.0, 0.0]])
     with dc.Tape():
         loss = dc.cross_entropy(logits, np.array([1]))
-        dc.backward(loss)
-    np.testing.assert_allclose(logits.grad[0], [1 / 3, -2 / 3, 1 / 3], atol=1e-12)
+        grads = dc.backward(loss)
+    np.testing.assert_allclose(grads[logits][0], [1 / 3, -2 / 3, 1 / 3], atol=1e-12)
     assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)
 
 
@@ -86,8 +88,8 @@ def test_gradient_accumulates_across_fanout():
         with dc.Tape():
             y = rops.tanh(dc.mul(x, x))
             loss = dc.sum_all(dc.add(y, y)) if double else dc.sum_all(y)
-            dc.backward(loss)
-        return x.grad
+            grads = dc.backward(loss)
+        return grads[x]
 
     np.testing.assert_array_equal(run(True), 2.0 * run(False))
 
@@ -154,12 +156,12 @@ def test_backward_frees_tape_without_cyclic_gc():
             h = rops.tanh(dc.matmul(t64([[1.0, 2.0], [3.0, 4.0]], grad=False), w))
             loss = dc.cross_entropy(h, np.array([0, 1]))
             grads = dc.backward(loss)
+        assert w in grads
         alive = weakref.ref(tape)
         del tape, h, loss, grads
         assert alive() is None
     finally:
         gc.enable()
-    assert w.grad is not None
 
 
 def test_backward_frees_each_node_as_the_sweep_passes_it():
@@ -184,11 +186,11 @@ def test_backward_frees_each_node_as_the_sweep_passes_it():
             doubled = dc.Tensor(2.0 * y.data)
             tape.record("double", (y,), doubled, lambda g, keep=scratch: (2.0 * g,))
             del scratch
-            dc.backward(dc.sum_all(doubled))
+            grads = dc.backward(dc.sum_all(doubled))
     finally:
         gc.enable()
     assert seen == [None]
-    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+    np.testing.assert_array_equal(grads[x], [4.0, 8.0])
 
 
 # Trains desk sincnet episodes on a small synthetic corpus and prints the
@@ -240,6 +242,23 @@ def test_second_backward_through_tape_raises():
             dc.backward(loss)
 
 
+def test_backward_map_holds_the_only_reference_to_each_gradient():
+    """backward() hands each leaf's gradient out once, as an array in the map
+    it returns; no leaf keeps one, so dropping the map frees every gradient."""
+    a, w = t64([[1.0, 2.0], [3.0, -1.0]]), t64([[0.5, -1.0], [2.0, 0.3]])
+    gc.disable()
+    try:
+        with dc.Tape():
+            loss = dc.sum_all(rops.tanh(dc.matmul(a, w)))
+            grads = dc.backward(loss)
+        alive = [weakref.ref(g) for g in grads.values()]
+        assert len(alive) == 2
+        del grads
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_non_grad_leaves_absent_from_map():
     x = t64([1.0, 2.0])
     c = dc.Tensor(np.array([3.0, 4.0]))  # no grad
@@ -248,7 +267,7 @@ def test_non_grad_leaves_absent_from_map():
         gmap = dc.backward(loss)
     assert x in gmap
     assert c not in gmap
-    np.testing.assert_array_equal(gmap[x].data, [3.0, 4.0])
+    np.testing.assert_array_equal(gmap[x], [3.0, 4.0])
 
 
 @pytest.mark.parametrize("op,x_shape,w_shape", [
@@ -270,9 +289,9 @@ def test_conv_frozen_input_skips_input_gradient(op, x_shape, w_shape):
             node = tape.nodes[-1]
             weights = dc.Tensor(np.cos(np.arange(out.size)).reshape(out.shape))
             gmap = dc.backward(dc.sum_all(dc.mul(out, weights)))
-        grads[frozen] = (gmap[w].data, gmap[b].data)
+        grads[frozen] = (gmap[w], gmap[b])
         assert (x in gmap) is not frozen
-    assert x.grad is None
+    assert x not in gmap
     assert node.backward_fn(np.ones(out.shape))[0] is None
     for got, want in zip(grads[True], grads[False]):
         np.testing.assert_array_equal(got, want)
@@ -291,7 +310,7 @@ def test_matmul_frozen_input_skips_its_gradient():
             node = tape.nodes[-1]
             weights = dc.Tensor(np.cos(np.arange(out.size)).reshape(out.shape))
             gmap = dc.backward(dc.sum_all(dc.mul(out, weights)))
-        grads[frozen] = gmap[w].data
+        grads[frozen] = gmap[w]
         assert (a in gmap) is not frozen
     assert node.backward_fn(np.ones(out.shape))[0] is None
     np.testing.assert_array_equal(grads[True], grads[False])
@@ -477,7 +496,7 @@ def test_conv1d_matches_im2col(clips, w_shape, stride, padding):
             out = op(x, w, b, stride=stride, padding=padding)
             weights = dc.Tensor(np.cos(np.arange(out.size)).reshape(out.shape))
             gmap = dc.backward(dc.sum_all(dc.mul(out, weights)))
-        results.append([out.data] + [gmap[t].data for t in (x, w, b)])
+        results.append([out.data] + [gmap[t] for t in (x, w, b)])
     for got, want in zip(*results):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -513,12 +532,12 @@ def test_conv1d_clips_end_to_end_each_get_their_own_rows(lengths):
     with dc.Tape():
         out = dc.gather_rows(dc.conv1d(x, w, b, padding=pad), rows)
         weights = np.cos(np.arange(out.size)).reshape(out.shape)
-        dx = dc.backward(dc.sum_all(dc.mul(out, dc.Tensor(weights))))[x].data
+        dx = dc.backward(dc.sum_all(dc.mul(out, dc.Tensor(weights))))[x]
     for start, clip, n, at in zip(starts, clips, lengths, (0, lengths[0])):
         xi = t64(clip)
         with dc.Tape():
             own = dc.conv1d(xi, w, b, padding=pad)
-            dxi = dc.backward(dc.sum_all(dc.mul(own, dc.Tensor(weights[at:at + n]))))[xi].data
+            dxi = dc.backward(dc.sum_all(dc.mul(own, dc.Tensor(weights[at:at + n]))))[xi]
         np.testing.assert_allclose(out.data[at:at + n], own.data, rtol=0,
                                    atol=1e-12 * np.abs(own.data).max())
         np.testing.assert_allclose(dx[start:start + n], dxi, rtol=0,
@@ -598,7 +617,7 @@ def test_conv2d_matches_window_conv2d(C, stride, padding):
                     out = op(x, w, b, stride=stride, padding=padding)
                     weights = dc.Tensor(np.cos(np.arange(out.size)).reshape(out.shape))
                     gmap = dc.backward(dc.sum_all(dc.mul(out, weights)))
-                results.append([out.data] + [gmap[t].data for t in (x, w, b)])
+                results.append([out.data] + [gmap[t] for t in (x, w, b)])
             for got, want in zip(*results):
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -693,7 +712,7 @@ def conv_results(op, x_data, w_data, b_data, kwargs):
         out = op(x, w, b, **kwargs)
         weights = dc.Tensor(np.cos(np.arange(out.size)).reshape(out.shape).astype(np.float32))
         gmap = dc.backward(dc.sum_all(dc.mul(out, weights)))
-    return [out.data] + [gmap[t].data for t in (x, w, b)]
+    return [out.data] + [gmap[t] for t in (x, w, b)]
 
 
 @pytest.mark.parametrize("op,x_shape,w_shape,kwargs", CONV_CASES)
@@ -1076,12 +1095,20 @@ def test_log_abs_matches_abs_add_log_chain(dtype):
             out = build(a)
             nodes = len(tape)
             grads = dc.backward(dc.sum_all(dc.mul(out, weights)))
-        results.append((nodes, out.data, grads[a].data))
+        results.append((nodes, out.data, grads[a]))
     assert (results[0][0], results[1][0]) == (1, 3)
     for new, old in zip(results[0][1:], results[1][1:]):
         assert new.dtype == old.dtype == dtype
         assert new.tobytes() == old.tobytes()
     assert np.all(results[0][2][0, :2] == 0.0)
+
+
+def test_gradcheck_rejects_a_gradient_not_in_its_input_shape():
+    def double_flat_grad(a):
+        return _finish("double", (a,), 2.0 * a.data, lambda g: ((2.0 * g).reshape(-1),))
+
+    with pytest.raises(dc.GradcheckFailure, match=r"gradient shape \(6,\), input shape \(2, 3\)"):
+        dc.gradcheck(double_flat_grad, [np.ones((2, 3))], np.random.default_rng(0))
 
 
 def test_gradcheck_every_op_smoke():
@@ -1184,7 +1211,7 @@ def test_sinc_kernel_matches_clamp_chain(dtype):
         with dc.Tape():
             w = build(tl, tb, min_band, window)
             grads = dc.backward(dc.sum_all(dc.mul(w, weights)))
-        results.append((w.data, grads[tl].data, grads[tb].data))
+        results.append((w.data, grads[tl], grads[tb]))
     _, f2, free_low, free_high = ops.sinc_cutoffs(theta_low, theta_band, min_band)
     assert (~free_low).sum() == 6 and (~free_high).sum() == 13 and np.all(f2[:13] == 0.5)
     for new, old in zip(*results):
@@ -1264,9 +1291,36 @@ def test_archive_detects_truncation(tmp_path):
         dc.load_archive(path)
 
 
+def raw_archive(path, meta_blob, names):
+    """Writes an archive with a valid checksum: metadata meta_blob, then one
+    float32 scalar under each raw name, in the given order."""
+    parts = [b"NTAR", struct.pack("<II", 1, len(meta_blob)), meta_blob,
+             struct.pack("<I", len(names))]
+    for name in names:
+        parts += [struct.pack("<H", len(name)), name, struct.pack("<BB", 0, 0),
+                  np.float32(1.0).tobytes()]
+    body = b"".join(parts)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+@pytest.mark.parametrize("meta_blob,names,match", [
+    (b"[]", [b"w"], "metadata is a JSON list"),
+    (b"{}", [b"w\xff"], "tensor name is not UTF-8"),
+    (b"{}", [b"w", b"w"], "tensor 'w' appears twice"),
+], ids=["metadata-list", "name-not-utf8", "name-twice"])
+def test_archive_breaking_the_layout_under_a_valid_checksum_is_corrupt(tmp_path, meta_blob,
+                                                                        names, match):
+    raw_archive(tmp_path / "ok.ckpt", b"{}", [b"w"])
+    tensors, meta = dc.load_archive(tmp_path / "ok.ckpt")
+    assert ({k: v.tolist() for k, v in tensors.items()}, meta) == ({"w": 1.0}, {})
+    path = tmp_path / "bad.ckpt"
+    raw_archive(path, meta_blob, names)
+    with pytest.raises(CorruptCheckpointError, match=match):
+        dc.load_archive(path)
+
+
 def test_archive_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
-    import hashlib
     body = b"NOPE" + b"\0" * 16
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(CorruptCheckpointError):

@@ -140,7 +140,7 @@ def assert_matches_reference(enc, inputs, reference, rng, tol=1e-12):
         with dc.Tape():
             emb = embed(inputs)
             gmap = dc.backward(dc.sum_all(dc.mul(emb, weights)))
-        results.append((emb.data, {n: gmap[p].data for n, p in enc.params.items()}))
+        results.append((emb.data, {n: gmap[p] for n, p in enc.params.items()}))
     (emb, grads), (ref_emb, ref_grads) = results
     np.testing.assert_allclose(emb, ref_emb, rtol=0, atol=tol * np.abs(ref_emb).max())
     assert sorted(grads) == sorted(enc.params)
@@ -220,7 +220,7 @@ def test_relu_after_pool_matches_relu_before_pool(kind):
         with dc.Tape():
             emb = enc.embed_batch(inputs)
             gmap = dc.backward(dc.sum_all(dc.mul(emb, weights)))
-        results.append([emb.data] + [gmap[p].data for p in enc.params.values()])
+        results.append([emb.data] + [gmap[p] for p in enc.params.values()])
     for got, want in zip(*results):
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
@@ -621,7 +621,7 @@ def test_gradient_reaches_sinc_cutoffs():
         queries = dc.slice_rows(embs, 2, 4)
         loss, _ = episode_loss(support, queries, np.array([0, 1]))
         gmap = dc.backward(loss)
-    grads = {name: (gmap[p].data if p in gmap else np.zeros_like(p.data))
+    grads = {name: (gmap[p] if p in gmap else np.zeros_like(p.data))
              for name, p in enc.params.items()}
     assert np.any(grads["sinc/theta_low"] != 0) or np.any(grads["sinc/theta_band"] != 0)
     dc.adam_step(enc.params, grads, state, lr=1e-3)
@@ -840,7 +840,7 @@ def test_converged_vgg_step_has_no_subnormal_gradients():
     assert gmap
     tiny = np.finfo(np.float32).tiny
     for p, g in gmap.items():
-        assert not np.any((g.data != 0) & (np.abs(g.data) < tiny))
+        assert not np.any((g != 0) & (np.abs(g) < tiny))
 
 
 def test_state_dict_round_trip():

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +199,32 @@ def test_validation_episodes_are_drawn_at_the_first_check():
     short = {**stub_split(), "c2": ["c2/clip0", "c2/clip1", "c2/clip2"]}
     with pytest.raises(InsufficientExamplesError, match="class 'c2' has 3 clips, episode needs 4"):
         Trainer(StubEncoder(), stub_split(), short, cfg, loader=stub_loader)
+
+
+def test_step_keeps_no_gradient_after_it_returns():
+    """A desk vgg step's gradients are freed when it returns: with the input
+    cache filled and one step run before, what the next step leaves allocated
+    is under a quarter of the parameters' bytes (a gradient kept per parameter
+    would be all of them)."""
+    split = stub_split(n_classes=2, clips=4)
+    loader = lambda path: synth_clip(TimbreProfile(220.0 * (1 + int(path[1]))), 0.8,
+                                     seed=int(path.split("clip")[1]))
+    encoder = build_encoder(EncoderSpec("vgg", "desk"), seed=0)
+    trainer = Trainer(encoder, split, split, tiny_cfg(max_episodes=3, eval_interval=100),
+                      loader=loader)
+    for paths in split.values():
+        for path in paths:
+            trainer.cache.get(path)
+    trainer.step()
+    tracemalloc.start()
+    try:
+        trainer.step()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(p.data.nbytes for p in encoder.params.values())
+    assert held < param_bytes / 4, (held, param_bytes)
 
 
 def test_trace_seams_of_the_benchmark_see_training(monkeypatch):
@@ -547,6 +575,19 @@ def test_checkpoint_spec_mismatch_rejected(tmp_path):
         load_encoder_checkpoint(path, EncoderSpec("lstm", "desk"))
     with pytest.raises(CheckpointMismatchError):
         load_encoder_checkpoint(path, EncoderSpec("vgg", "paper"))
+
+
+def test_checkpoint_with_the_header_but_not_the_tensors_rejected(tmp_path):
+    """A checkpoint whose header matches but whose tensors do not fit the
+    encoder is a checkpoint mismatch naming the file, not a shape error."""
+    spec = EncoderSpec("vgg", "desk")
+    enc = build_encoder(spec, seed=0)
+    path = tmp_path / "best.ckpt"
+    for tensors in ({n: a for n, a in enc.state_dict().items() if n != "conv1_b"},
+                    {**enc.state_dict(), "conv1_b": np.zeros(3, dtype=np.float32)}):
+        save_encoder_checkpoint(path, enc, tensors)
+        with pytest.raises(CheckpointMismatchError, match="best.ckpt: .*conv1_b"):
+            restore_encoder(path, spec)
 
 
 def test_render_eval_table():
