@@ -105,6 +105,8 @@ def load_wav(path) -> Waveform:
         raise CorruptContainerError(f"{p}: not a valid WAVE container ({exc})") from exc
     except EOFError as exc:
         raise CorruptContainerError(f"{p}: truncated WAVE container") from exc
+    except RuntimeError as exc:     # `wave`'s chunk reader, sent past a chunk's end
+        raise CorruptContainerError(f"{p}: bad chunk size in WAVE container") from exc
     if len(raw) < 2 * n:
         raise CorruptContainerError(
             f"{p}: truncated data chunk ({len(raw)} bytes for {n} samples)")

@@ -52,8 +52,13 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def save_archive(path, tensors: Mapping[str, np.ndarray], meta: dict | None = None) -> None:
+    """Writes what `load_archive` reads back; metadata that is not a dict,
+    which it would reject, raises CorruptCheckpointError before any write."""
+    meta = {} if meta is None else meta
+    if not isinstance(meta, dict):
+        raise CorruptCheckpointError(f"metadata is a {type(meta).__name__}, not a dict")
     parts = [MAGIC, struct.pack("<I", VERSION)]
-    meta_blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
+    meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     parts.append(struct.pack("<I", len(meta_blob)))
     parts.append(meta_blob)
     parts.append(struct.pack("<I", len(tensors)))

@@ -101,9 +101,12 @@ def relu(a) -> Tensor:
 
 
 def _sigmoid_(z: np.ndarray) -> None:
-    """In-place logistic sigmoid, clipped at ±60."""
+    """In-place logistic sigmoid, clipped at ±60. The sign flips as a
+    product with -1, the same bits: numpy 2.4's in-place `np.negative`
+    writes wrong values through some strided views, e.g. every 4th float32
+    or every 8th float64, which an LSTM gate slab of one value per gate is."""
     np.clip(z, -60.0, 60.0, out=z)
-    np.negative(z, out=z)
+    np.multiply(z, -1.0, out=z)
     np.exp(z, out=z)
     z += 1.0
     np.reciprocal(z, out=z)
@@ -321,131 +324,148 @@ def _matmul_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 def lstm_sequence(x, wx, b, wh, lengths: Sequence[int]) -> Tensor:
     """LSTM hidden states of consecutive clips of `lengths` rows each.
 
-    x (N, D) holds every clip's input frames, one clip after another; wx
-    (D, 4H), b (4H,) and wh (H, 4H) are the input weight, bias and recurrent
-    weight, gates in the order i, f, g, o. Returns the hidden states (N, H)
-    in x's row order, each clip starting from h = c = 0.
+    x (N, D) holds every clip's input frames, one clip after another. The
+    four gates' weights are stacked along the first axis in the order i, f,
+    g, o: the input weight wx (4·D, H), the bias b (4·H,) and the recurrent
+    weight wh (4·H, H). Returns the hidden states (N, H) in x's row order,
+    each clip starting from h = c = 0.
 
-    The rows are scattered once into a time-major (T·B, D) buffer with the
-    clips longest first, so the n_t clips still running at step t are the
-    first n_t rows of that step. Each step adds b and one (n_t, H) @ (H, 4H)
-    recurrent GEMM to its running rows' input projection, as with packed
-    sequences, applies the gate activations in place and scatters its hidden
-    rows straight into the (N, H) output.
+    The rows are packed by step, as in packed sequences (Paszke et al.
+    2019): with the clips longest first, the n_t clips still running at step
+    t own the packed rows off_t : off_t + n_t, so no row belongs to a
+    finished clip. x is gathered once into those rows. The weights are
+    viewed gate-major, as (4, D, H), (4, 1, H) and (4, H, H), and every gate
+    buffer keeps each gate's rows in one contiguous slab (Appleyard, Kočiský
+    & Blunsom 2016). Each step adds b and the recurrent products h @ wh[k]
+    to its (4, n_t, H) slabs, applies the gate activations in place and
+    writes its hidden rows to packed rows, which one scatter puts in x's
+    row order after the loop.
 
     When a tape records (see `_recording_tape`), BPTT needs every step: one
-    GEMM writes the projection of the whole buffer into a (T, B, 4H) gate
-    buffer (Appleyard, Kočiský & Blunsom 2016), so no (N, 4H) array is made,
-    and c, tanh(c) and h are kept per step. The backward is analytic BPTT; it
-    overwrites the gate buffer with the gate gradients, so it runs once. Rows
-    of finished clips stay zero in every buffer, so d wx, d b and d wh are
-    each one pass over the time-major rows, and d x one GEMM gathered back.
+    batched product projects the N packed rows into a (4, N, H) gate buffer,
+    and c and tanh(c) are kept for every packed row. The backward is
+    analytic BPTT over the same slabs; it overwrites the gate buffer with
+    the gate gradients, so it runs once. d wx, d b and d wh are each one pass
+    over the N packed rows, d wh with each row's entering state gathered
+    once, and d x one product scattered back.
 
     When none records, only the current step is kept (Gruslys et al. 2016):
-    h and c live in two-slot rings, tanh(c) in one slot, and each step
-    projects its B slot rows into a (B, 4H) buffer. The same loop runs both
-    ways, and the results are the same bits: numpy runs a one-row product as
-    a matrix-vector product, which rounds differently, so no projection GEMM
-    has one row unless T·B = 1, and a single clip is projected whole.
+    c lives in a two-slot ring, tanh(c) in one slot, and each step projects
+    its own packed rows. The same loop runs both ways, and the results are
+    the same bits: numpy runs a one-row product as a matrix-vector product,
+    which rounds differently, so no projection has one row unless N = 1, and
+    a step with one running clip projects two packed rows.
     """
     x, wx, b, wh = as_tensor(x), as_tensor(wx), as_tensor(b), as_tensor(wh)
     lens = np.asarray(lengths, dtype=np.int64)
-    if wh.ndim != 2 or wh.data.shape[1] != 4 * wh.data.shape[0]:
-        raise ShapeMismatchError(f"lstm_sequence: wh {wh.data.shape} is not (H, 4H)")
-    H = wh.data.shape[0]
-    if wx.ndim != 2 or wx.data.shape[1] != 4 * H:
+    if wh.ndim != 2 or wh.data.shape[0] != 4 * wh.data.shape[1]:
+        raise ShapeMismatchError(f"lstm_sequence: wh {wh.data.shape} is not (4H, H)")
+    H = wh.data.shape[1]
+    if wx.ndim != 2 or wx.data.shape[0] % 4 or wx.data.shape[1] != H:
         raise ShapeMismatchError(
-            f"lstm_sequence: wx {wx.data.shape} vs (D, {4 * H}) for wh {wh.data.shape}"
+            f"lstm_sequence: wx {wx.data.shape} vs (4·D, {H}) for wh {wh.data.shape}"
         )
     if b.data.shape != (4 * H,):
         raise ShapeMismatchError(f"lstm_sequence: b {b.data.shape} vs ({4 * H},)")
-    D = wx.data.shape[0]
+    D = wx.data.shape[0] // 4
     if x.ndim != 2 or x.data.shape[1] != D:
         raise ShapeMismatchError(f"lstm_sequence: x {x.data.shape} vs (N, {D}) for wx")
     if lens.ndim != 1 or lens.size == 0 or np.any(lens < 1) or lens.sum() != x.data.shape[0]:
         raise ShapeMismatchError(
             f"lstm_sequence: lengths {list(lengths)} do not tile {x.data.shape[0]} rows"
         )
-    B, T = lens.size, int(lens.max())
+    N, T = x.data.shape[0], int(lens.max())
     order = np.argsort(-lens, kind="stable")                   # clips longest first
-    slot = np.empty(B, dtype=np.int64)
-    slot[order] = np.arange(B)
     running = (lens[None, :] > np.arange(T)[:, None]).sum(axis=1)     # n_t
+    offs = np.concatenate([[0], np.cumsum(running)])           # off_t
+    step = np.repeat(np.arange(T), running)
     starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    first = starts[order]                                      # each slot's first row
-    # flat (t, slot) buffer row of every input row
-    rows = (np.arange(x.data.shape[0]) - np.repeat(starts, lens)) * B + np.repeat(slot, lens)
+    src = starts[order][np.arange(N) - offs[step]] + step      # x's row of each packed row
     dtype = np.result_type(x.dtype, wx.dtype, b.dtype, wh.dtype)
-    xs = np.zeros((T * B, D), dtype=dtype)
-    xs[rows] = x.data
+    xs = x.data[src].astype(dtype, copy=False)
+    wx4, b4, wh4 = wx.data.reshape(4, D, H), b.data.reshape(4, 1, H), wh.data.reshape(4, H, H)
     taped = _recording_tape((x, wx, b, wh)) is not None
-    per_step = not taped and B > 1     # a one-row projection would round differently
-    gates = np.empty((1 if per_step else T, B, 4 * H), dtype=dtype)
-    if not per_step:
-        np.matmul(xs, wx.data, out=gates.reshape(T * B, 4 * H))
-    # slot (t + 1) % S of h and c is the state after step t; slot 0 starts at 0
-    S = T + 1 if taped else 2
-    h = np.zeros((S, B, H), dtype=dtype)
-    c = np.zeros((S, B, H), dtype=dtype)
-    tc = np.zeros((S - 1, B, H), dtype=dtype)
-    out = np.empty((x.data.shape[0], H), dtype=dtype)
+    B = running[0]
+    gates = np.empty((4, N if taped else max(B, min(N, 2)), H), dtype=dtype)
+    if taped:
+        np.matmul(xs, wx4, out=gates)
+    # c of step t starts at row cat[t], tanh(c) at row tat[t]: packed rows
+    # when taped, else a two-slot ring and one slot
+    cat, tat = (offs, offs) if taped else ((np.arange(T) % 2) * B, np.zeros(T, np.int64))
+    c = np.empty((N if taped else 2 * B, H), dtype=dtype)
+    tc = np.empty((N if taped else B, H), dtype=dtype)
+    hs = np.empty((N, H), dtype=dtype)                         # packed hidden states
     for t in range(T):
-        n, now, new = running[t], t % S, (t + 1) % S
-        if per_step:
-            np.matmul(xs[t * B:(t + 1) * B], wx.data, out=gates[0])
-        z = gates[t % len(gates), :n]
-        z += b.data                    # before h @ wh, rounding as (x @ wx + b) + h @ wh
+        n, off = running[t], offs[t]
+        if taped:
+            z = gates[:, off:off + n]
+        else:
+            m = max(n, min(N, 2))      # a one-row product would round differently
+            lo = max(0, off + n - m)
+            np.matmul(xs[lo:lo + m], wx4, out=gates[:, :m])
+            z = gates[:, off - lo:off - lo + n]
+        z += b4                        # before h @ wh, rounding as (x @ wx + b) + h @ wh
         if t:
-            z += h[now, :n] @ wh.data
-        i, f, g, o = (z[:, k * H:(k + 1) * H] for k in range(4))
-        _sigmoid_(z[:, :2 * H])
+            z += hs[offs[t - 1]:offs[t - 1] + n] @ wh4
+        i, f, g, o = z
+        _sigmoid_(z[:2])
         np.tanh(g, out=g)
         _sigmoid_(o)
-        np.multiply(i, g, out=c[new, :n])
-        c[new, :n] += f * c[now, :n]
-        tct = tc[t % len(tc), :n]
-        np.tanh(c[new, :n], out=tct)
-        np.multiply(o, tct, out=h[new, :n])
-        out[first[:n] + t] = h[new, :n]
+        ct, tct = c[cat[t]:cat[t] + n], tc[tat[t]:tat[t] + n]
+        np.multiply(i, g, out=ct)
+        if t:
+            ct += f * c[cat[t - 1]:cat[t - 1] + n]
+        np.tanh(ct, out=tct)
+        np.multiply(o, tct, out=hs[off:off + n])
+    out = np.empty_like(hs)
+    out[src] = hs
 
     def bwd(gout):
         nonlocal gates
         if gates is None:
             raise TapeConsumedError("lstm_sequence: backward already ran through its buffers")
         dz_all, gates = gates, None     # step t's gate gradients overwrite its activations
-        dh_in = np.zeros((T, B, H), dtype=dtype)
-        dh_in.reshape(T * B, H)[rows] = gout
-        wh_t = np.ascontiguousarray(wh.data.T)
+        dh_in = gout[src].astype(dtype, copy=False)
+        wh4_t = np.ascontiguousarray(wh4.transpose(0, 2, 1))
         dh_rec = dc_rec = np.zeros((0, H), dtype=dtype)   # from step t + 1 into step t
         for t in range(T - 1, -1, -1):
-            n, m = running[t], dh_rec.shape[0]
-            z, tct = dz_all[t, :n], tc[t, :n]
-            i, f, g, o = (z[:, k * H:(k + 1) * H] for k in range(4))
-            dh = dh_in[t, :n]
+            n, off, m = running[t], offs[t], dh_rec.shape[0]
+            z, tct = dz_all[:, off:off + n], tc[off:off + n]
+            i, f, g, o = z
+            dh = dh_in[off:off + n]
             dh[:m] += dh_rec
             dc = dh * o
             dc *= 1.0 - tct * tct
             dc[:m] += dc_rec
             dz = np.empty_like(z)
-            np.multiply(dc, g, out=dz[:, :H])
-            np.multiply(dc, c[t, :n], out=dz[:, H:2 * H])
-            np.multiply(dc, i, out=dz[:, 2 * H:3 * H])
-            np.multiply(dh, tct, out=dz[:, 3 * H:])
+            np.multiply(dc, g, out=dz[0])
+            if t:
+                np.multiply(dc, c[offs[t - 1]:offs[t - 1] + n], out=dz[1])
+            else:
+                dz[1] = 0.0
+            np.multiply(dc, i, out=dz[2])
+            np.multiply(dh, tct, out=dz[3])
             act_grad = 1.0 - z                 # sigmoid' = s(1 - s) for i, f, o
             act_grad *= z
-            g_grad = act_grad[:, 2 * H:3 * H]  # tanh' = 1 - g² for g
-            np.multiply(g, g, out=g_grad)
-            np.subtract(1.0, g_grad, out=g_grad)
+            np.multiply(g, g, out=act_grad[2])   # tanh' = 1 - g² for g
+            np.subtract(1.0, act_grad[2], out=act_grad[2])
             dc_rec = dc * f
             np.multiply(dz, act_grad, out=z)
             if t:
-                dh_rec = z @ wh_t
-        dz_rows = dz_all.reshape(T * B, 4 * H)
-        dx = (dz_rows @ wx.data.T)[rows] if x.requires_grad else None
-        dwx = xs.T @ dz_rows if wx.requires_grad else None
-        db = dz_rows.sum(axis=0) if b.requires_grad else None
-        # d wh = Σ_t h_tᵀ dz_t, where h_t is the state step t starts from
-        dwh = h[:-1].reshape(T * B, H).T @ dz_rows if wh.requires_grad else None
+                dh_rec = np.matmul(z, wh4_t).sum(axis=0)
+        dx = dwx = db = dwh = None
+        if x.requires_grad:
+            dx = np.empty((N, D), dtype=dtype)
+            dx[src] = np.matmul(dz_all, wx4.transpose(0, 2, 1)).sum(axis=0)
+        if wx.requires_grad:
+            dwx = np.stack([xs.T @ dz for dz in dz_all]).reshape(4 * D, H)
+        if b.requires_grad:
+            db = dz_all.sum(axis=1).reshape(4 * H)
+        if wh.requires_grad:
+            # d wh_k = Σ_t h_tᵀ dz_k,t over the rows of steps t ≥ 1, where
+            # h_t is the state row r of step t enters with, row r - n_{t-1}
+            entering = hs[np.arange(B, N) - np.repeat(running[:-1], running[1:])]
+            dwh = np.stack([entering.T @ dz[B:] for dz in dz_all]).reshape(4 * H, H)
         return dx, dwx, db, dwh
 
     return _finish("lstm_sequence", (x, wx, b, wh), out, bwd)
@@ -546,6 +566,10 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     one folded channel (`vgg` conv1) those GEMMs would have inner size 1 and
     run ~7x slower, so the forward runs one im2col GEMM instead, through the
     transpose of a (taps, rows) array filled one contiguous tap row at a time.
+    Its input gradient is one (N, taps) product whose columns add into their
+    rows in tap order: per tap it would be an (N, O) @ (O, 1) matrix-vector
+    product, whose last rows round by their distance from row N, so an
+    image's gradient would depend on the batch it came in.
     conv1d's (L, C) rows come in as the view (1, L, 1, C), and their output
     goes back as (Lo, O) rows: one image one pixel wide has no row to drop.
     """
@@ -604,8 +628,13 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
         dx = None
         if x.requires_grad:
             drows = np.zeros(rows.shape, dtype=dtype)
-            for off, tap in zip(offs, taps):
-                _matmul_add(gflat, tap.T, drows[off:off + N])
+            if D == 1:                  # one product, not one matrix-vector product per tap
+                cols = np.matmul(gflat, taps.reshape(len(offs), O).T)
+                for j, off in enumerate(offs):
+                    drows[off:off + N, 0] += cols[:, j]
+            else:
+                for off, tap in zip(offs, taps):
+                    _matmul_add(gflat, tap.T, drows[off:off + N])
             dcells = drows.reshape(B * Hs + Jh, Ws, sh, sw, C).swapaxes(1, 2)
             dcells = dcells.reshape(-1, Ws * sw, C)[:B * Hs * sh]
             dx = dcells.reshape(B, Hs * sh, Ws * sw, C)[:, ph:ph + H, pw:pw + W]

@@ -151,7 +151,6 @@ def load_features(path) -> np.ndarray:
     version, t, n_mels = struct.unpack("<III", blob[4:16])
     if version != FEATURE_VERSION:
         raise ConfigError(f"{path}: unsupported feature dump version {version}")
-    data = np.frombuffer(blob[16:], dtype="<f4")
-    if data.size != t * n_mels:
-        raise ConfigError(f"{path}: payload size {data.size} != {t}x{n_mels}")
-    return data.reshape(t, n_mels).astype(np.float64)
+    if len(blob) - 16 != 4 * t * n_mels:
+        raise ConfigError(f"{path}: payload of {len(blob) - 16} bytes != {t}x{n_mels} floats")
+    return np.frombuffer(blob[16:], dtype="<f4").reshape(t, n_mels).astype(np.float64)

@@ -39,11 +39,10 @@ class LstmEncoder(FrameEncoder):
 
     def embed_rows(self, rows: Tensor, lengths: Sequence[int]) -> Tensor:
         """(Σ T_b, n_mels) packed frames -> (B, out). The per-gate weights are
-        joined along the gate axis (order i, f, g, o), and `lstm_sequence`
-        runs the input projection and the recurrence of all clips at once;
-        nothing is padded."""
+        stacked gate-major along the first axis (order i, f, g, o), and
+        `lstm_sequence` runs the input projection and the recurrence of all
+        clips at once; nothing is padded."""
         p = self.params
-        wx, wh = (concat([p[f"{w}_{g}"] for g in _GATES], axis=1) for w in ("wx", "wh"))
-        b = concat([p[f"b_{g}"] for g in _GATES])
+        wx, wh, b = (concat([p[f"{w}_{g}"] for g in _GATES]) for w in ("wx", "wh", "b"))
         states = lstm_sequence(rows, wx, b, wh, lengths)                # (N, H)
         return segment_mean(add(matmul(states, p["wy"]), p["by"]), lengths)

@@ -4,14 +4,16 @@ and the `absval`, `add_scalar` and `log` chain that `log_abs` replaced.
 They record onto the tape as the library's ops do, and the acceptance suite
 gradchecks each of them as it does every library op. `padded_conv1d` and
 `padded_conv2d` run the conv kernel as it was before neighbouring images
-shared their zero border, for the equivalence tests of `_conv`.
+shared their zero border, for the equivalence tests of `_conv`, and
+`time_major_lstm_sequence` is the `lstm_sequence` that packed, gate-major
+buffers replaced.
 """
 
 import numpy as np
 
 from protoaudio.diffcore import as_tensor
-from protoaudio.diffcore.ops import _finish, _matmul_add, _sigmoid_
-from protoaudio.errors import ShapeMismatchError
+from protoaudio.diffcore.ops import _finish, _matmul_add, _recording_tape, _sigmoid_
+from protoaudio.errors import ShapeMismatchError, TapeConsumedError
 
 TEST_OPS = ("sigmoid", "tanh", "pad_rows", "absval", "add_scalar", "log")
 
@@ -162,3 +164,111 @@ def padded_conv2d(x, w, b=None, stride=1, padding=0):
     x, w = as_tensor(x), as_tensor(w)
     bias = as_tensor(b) if b is not None else None
     return padded_conv("conv2d", x, w, bias, x.data, w.data, (stride, stride), (padding, padding))
+
+
+def time_major_lstm_sequence(x, wx, b, wh, lengths):
+    """The `lstm_sequence` that packed, gate-major buffers replaced, for
+    the equivalence tests: wx (D, 4H), b (4H,) and wh (H, 4H) with the
+    gates side by side in the order i, f, g, o, and the clips' rows in a
+    time-major (T·B, ·) layout in which finished clips keep zero rows."""
+    x, wx, b, wh = as_tensor(x), as_tensor(wx), as_tensor(b), as_tensor(wh)
+    lens = np.asarray(lengths, dtype=np.int64)
+    if wh.ndim != 2 or wh.data.shape[1] != 4 * wh.data.shape[0]:
+        raise ShapeMismatchError(f"lstm_sequence: wh {wh.data.shape} is not (H, 4H)")
+    H = wh.data.shape[0]
+    if wx.ndim != 2 or wx.data.shape[1] != 4 * H:
+        raise ShapeMismatchError(
+            f"lstm_sequence: wx {wx.data.shape} vs (D, {4 * H}) for wh {wh.data.shape}"
+        )
+    if b.data.shape != (4 * H,):
+        raise ShapeMismatchError(f"lstm_sequence: b {b.data.shape} vs ({4 * H},)")
+    D = wx.data.shape[0]
+    if x.ndim != 2 or x.data.shape[1] != D:
+        raise ShapeMismatchError(f"lstm_sequence: x {x.data.shape} vs (N, {D}) for wx")
+    if lens.ndim != 1 or lens.size == 0 or np.any(lens < 1) or lens.sum() != x.data.shape[0]:
+        raise ShapeMismatchError(
+            f"lstm_sequence: lengths {list(lengths)} do not tile {x.data.shape[0]} rows"
+        )
+    B, T = lens.size, int(lens.max())
+    order = np.argsort(-lens, kind="stable")                   # clips longest first
+    slot = np.empty(B, dtype=np.int64)
+    slot[order] = np.arange(B)
+    running = (lens[None, :] > np.arange(T)[:, None]).sum(axis=1)     # n_t
+    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    first = starts[order]                                      # each slot's first row
+    # flat (t, slot) buffer row of every input row
+    rows = (np.arange(x.data.shape[0]) - np.repeat(starts, lens)) * B + np.repeat(slot, lens)
+    dtype = np.result_type(x.dtype, wx.dtype, b.dtype, wh.dtype)
+    xs = np.zeros((T * B, D), dtype=dtype)
+    xs[rows] = x.data
+    taped = _recording_tape((x, wx, b, wh)) is not None
+    per_step = not taped and B > 1     # a one-row projection would round differently
+    gates = np.empty((1 if per_step else T, B, 4 * H), dtype=dtype)
+    if not per_step:
+        np.matmul(xs, wx.data, out=gates.reshape(T * B, 4 * H))
+    # slot (t + 1) % S of h and c is the state after step t; slot 0 starts at 0
+    S = T + 1 if taped else 2
+    h = np.zeros((S, B, H), dtype=dtype)
+    c = np.zeros((S, B, H), dtype=dtype)
+    tc = np.zeros((S - 1, B, H), dtype=dtype)
+    out = np.empty((x.data.shape[0], H), dtype=dtype)
+    for t in range(T):
+        n, now, new = running[t], t % S, (t + 1) % S
+        if per_step:
+            np.matmul(xs[t * B:(t + 1) * B], wx.data, out=gates[0])
+        z = gates[t % len(gates), :n]
+        z += b.data                    # before h @ wh, rounding as (x @ wx + b) + h @ wh
+        if t:
+            z += h[now, :n] @ wh.data
+        i, f, g, o = (z[:, k * H:(k + 1) * H] for k in range(4))
+        _sigmoid_(z[:, :2 * H])
+        np.tanh(g, out=g)
+        _sigmoid_(o)
+        np.multiply(i, g, out=c[new, :n])
+        c[new, :n] += f * c[now, :n]
+        tct = tc[t % len(tc), :n]
+        np.tanh(c[new, :n], out=tct)
+        np.multiply(o, tct, out=h[new, :n])
+        out[first[:n] + t] = h[new, :n]
+
+    def bwd(gout):
+        nonlocal gates
+        if gates is None:
+            raise TapeConsumedError("lstm_sequence: backward already ran through its buffers")
+        dz_all, gates = gates, None     # step t's gate gradients overwrite its activations
+        dh_in = np.zeros((T, B, H), dtype=dtype)
+        dh_in.reshape(T * B, H)[rows] = gout
+        wh_t = np.ascontiguousarray(wh.data.T)
+        dh_rec = dc_rec = np.zeros((0, H), dtype=dtype)   # from step t + 1 into step t
+        for t in range(T - 1, -1, -1):
+            n, m = running[t], dh_rec.shape[0]
+            z, tct = dz_all[t, :n], tc[t, :n]
+            i, f, g, o = (z[:, k * H:(k + 1) * H] for k in range(4))
+            dh = dh_in[t, :n]
+            dh[:m] += dh_rec
+            dc = dh * o
+            dc *= 1.0 - tct * tct
+            dc[:m] += dc_rec
+            dz = np.empty_like(z)
+            np.multiply(dc, g, out=dz[:, :H])
+            np.multiply(dc, c[t, :n], out=dz[:, H:2 * H])
+            np.multiply(dc, i, out=dz[:, 2 * H:3 * H])
+            np.multiply(dh, tct, out=dz[:, 3 * H:])
+            act_grad = 1.0 - z                 # sigmoid' = s(1 - s) for i, f, o
+            act_grad *= z
+            g_grad = act_grad[:, 2 * H:3 * H]  # tanh' = 1 - g² for g
+            np.multiply(g, g, out=g_grad)
+            np.subtract(1.0, g_grad, out=g_grad)
+            dc_rec = dc * f
+            np.multiply(dz, act_grad, out=z)
+            if t:
+                dh_rec = z @ wh_t
+        dz_rows = dz_all.reshape(T * B, 4 * H)
+        dx = (dz_rows @ wx.data.T)[rows] if x.requires_grad else None
+        dwx = xs.T @ dz_rows if wx.requires_grad else None
+        db = dz_rows.sum(axis=0) if b.requires_grad else None
+        # d wh = Σ_t h_tᵀ dz_t, where h_t is the state step t starts from
+        dwh = h[:-1].reshape(T * B, H).T @ dz_rows if wh.requires_grad else None
+        return dx, dwx, db, dwh
+
+    return _finish("lstm_sequence", (x, wx, b, wh), out, bwd)

@@ -138,10 +138,10 @@ def op_instances(rng):
              sinc_parameters(rng)),
             ("lstm_sequence",
              lambda x, wx, b, wh, lens=lstm_lens: dc.lstm_sequence(x, wx, b, wh, lens),
-             [u(sum(lstm_lens), c), u(c, 4 * hidden), u(4 * hidden), u(hidden, 4 * hidden)]),
+             [u(sum(lstm_lens), c), u(4 * c, hidden), u(4 * hidden), u(4 * hidden, hidden)]),
             ("lstm_sequence",
              lambda x, wx, b, wh, lens=(single_len,): dc.lstm_sequence(x, wx, b, wh, lens),
-             [u(single_len, c), u(c, 4 * hidden), u(4 * hidden), u(hidden, 4 * hidden)]),
+             [u(single_len, c), u(4 * c, hidden), u(4 * hidden), u(4 * hidden, hidden)]),
         ]
     return cases
 

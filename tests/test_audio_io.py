@@ -68,6 +68,18 @@ def test_load_rejects_truncated_data_chunk(tone_wav, cut):
         load_wav(tone_wav)
 
 
+def test_load_rejects_bad_fmt_chunk_size(tone_wav):
+    """A `fmt ` chunk size of 0x20 where the file has 0x10 (byte 16) sends
+    the standard library's chunk reader past its chunk, which it reports as
+    a bare RuntimeError; load_wav reports a corrupt container."""
+    blob = bytearray(tone_wav.read_bytes())
+    assert blob[12:20] == b"fmt \x10\0\0\0"
+    blob[16] = 0x20
+    tone_wav.write_bytes(bytes(blob))
+    with pytest.raises(CorruptContainerError, match="bad chunk size"):
+        load_wav(tone_wav)
+
+
 def test_pcm16_scaling_convention(tmp_path):
     # oracle: value / 32768 by hand
     path = tmp_path / "extremes.wav"

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import re
 import shutil
+import struct
 import warnings
 from pathlib import Path
 
@@ -446,6 +448,27 @@ def truncated_wav(tmp_path, corpus):
     return path
 
 
+def list_metadata_checkpoint(path, enc):
+    """A checkpoint of enc whose metadata block is a JSON list, with a valid
+    checksum: what a writer other than save_archive, which refuses such
+    metadata, could leave behind."""
+    save_archive(path, enc.state_dict(), {})
+    body = path.read_bytes()[:-32]
+    (meta_len,) = struct.unpack("<I", body[8:12])
+    meta = json.dumps([{"spec": enc.spec.header()}]).encode("utf-8")
+    body = body[:8] + struct.pack("<I", len(meta)) + meta + body[12 + meta_len:]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def bad_chunk_size_wav(tmp_path, corpus):
+    """A corpus clip whose `fmt ` chunk size (byte 16) reads 0x20, not 0x10."""
+    blob = bytearray(Path(load_manifest(corpus).entries[0].path).read_bytes())
+    blob[16] = 0x20
+    path = tmp_path / "bad_chunk.wav"
+    path.write_bytes(bytes(blob))
+    return path
+
+
 def run_with_history_dir(tmp_path):
     run = tmp_path / "r"
     (run / "history.jsonl").mkdir(parents=True)
@@ -491,8 +514,7 @@ BAD_INPUTS = [
          save_encoder_checkpoint(path, enc, {name: a for name, a in enc.state_dict().items()
                                              if name != "conv1_b"}))))]),
     ("eval-checkpoint-metadata-list", 3, None,
-     lambda t, c: ["eval", "--run", str(run_with_checkpoint(t, c, lambda path, enc: (
-         save_archive(path, enc.state_dict(), [{"spec": enc.spec.header()}]))))]),
+     lambda t, c: ["eval", "--run", str(run_with_checkpoint(t, c, list_metadata_checkpoint))]),
     ("eval-manifest-not-utf8", 3, None,
      lambda t, c: ["eval", "--run", str(fake_run(t, f"manifest = {t / NOT_UTF8}\n".encode()))]),
     ("subset-manifest-dir", 3, None,
@@ -507,6 +529,9 @@ BAD_INPUTS = [
      lambda t, c: ["features", "--wav", str(t / "dir"), "--out", str(t / "f.lmel")]),
     ("features-wav-truncated", 3, None,
      lambda t, c: ["features", "--wav", str(truncated_wav(t, c)), "--out", str(t / "f.lmel")]),
+    ("features-wav-bad-chunk-size", 3, None,
+     lambda t, c: ["features", "--wav", str(bad_chunk_size_wav(t, c)),
+                   "--out", str(t / "f.lmel")]),
     ("features-out-dir", 3, None,
      lambda t, c: ["features", "--wav", load_manifest(c).entries[0].path, "--out", str(t / "dir")]),
     ("synth-out-file", 3, None,

@@ -317,34 +317,35 @@ def test_matmul_frozen_input_skips_its_gradient():
 
 
 @pytest.mark.parametrize("x_shape,wh_shape,lengths", [
-    ((6, 8), (2, 8), [2, 3]),            # rows not tiled
-    ((5, 8), (2, 8), [5, 0]),            # empty clip
-    ((5, 8), (2, 8), [6, -1]),           # negative length
-    ((5, 8), (2, 8), []),                # no clips
-    ((5, 6), (2, 8), [5]),               # x has 6 columns, wx 8 rows
-    ((5, 8), (2, 6), [5]),               # wh not (H, 4H)
-    ((5, 8, 1), (2, 8), [5]),            # x not 2-D
+    ((6, 8), (8, 2), [2, 3]),            # rows not tiled
+    ((5, 8), (8, 2), [5, 0]),            # empty clip
+    ((5, 8), (8, 2), [6, -1]),           # negative length
+    ((5, 8), (8, 2), []),                # no clips
+    ((5, 6), (8, 2), [5]),               # x has 6 columns, wx 4·8 rows
+    ((5, 8), (6, 2), [5]),               # wh not (4H, H)
+    ((5, 8, 1), (8, 2), [5]),            # x not 2-D
 ])
 def test_lstm_sequence_rejects_bad_shapes(x_shape, wh_shape, lengths):
-    """x (N, 8) frames against wx (8, 4H) and b (4H,), H from wh."""
-    gates = 4 * wh_shape[0]
+    """x (N, 8) frames against wx (4·8, H) and b (4H,), H from wh."""
+    hidden = wh_shape[1]
     with pytest.raises(ShapeMismatchError):
-        dc.lstm_sequence(np.zeros(x_shape), np.zeros((8, gates)), np.zeros(gates),
+        dc.lstm_sequence(np.zeros(x_shape), np.zeros((32, hidden)), np.zeros(4 * hidden),
                          np.zeros(wh_shape), lengths)
 
 
 @pytest.mark.parametrize("wx_shape,b_shape", [
-    ((6, 8), (8,)),                      # wx rows are not x's 5 columns
-    ((5, 6), (8,)),                      # wx not (D, 4H)
-    ((5, 8, 1), (8,)),                   # wx not 2-D
-    ((5, 8), (6,)),                      # b not (4H,)
-    ((5, 8), (1, 8)),                    # b not 1-D
+    ((24, 2), (8,)),                     # wx rows are not 4 × x's 5 columns
+    ((20, 3), (8,)),                     # wx not (4·D, H)
+    ((20, 2, 1), (8,)),                  # wx not 2-D
+    ((20, 2), (6,)),                     # b not (4H,)
+    ((20, 2), (1, 8)),                   # b not 1-D
+    ((22, 2), (8,)),                     # wx rows not a multiple of 4
 ])
 def test_lstm_sequence_rejects_bad_input_weights(wx_shape, b_shape):
-    """x (4, 5) frames of clips [3, 1] with wh (2, 8)."""
+    """x (4, 5) frames of clips [3, 1] with wh (8, 2)."""
     with pytest.raises(ShapeMismatchError):
         dc.lstm_sequence(np.zeros((4, 5)), np.zeros(wx_shape), np.zeros(b_shape),
-                         np.zeros((2, 8)), [3, 1])
+                         np.zeros((8, 2)), [3, 1])
 
 
 def test_lstm_sequence_backward_runs_once():
@@ -352,8 +353,8 @@ def test_lstm_sequence_backward_runs_once():
     raises rather than returning wrong gradients."""
     rng = np.random.default_rng(14)
     with dc.Tape() as tape:
-        out = dc.lstm_sequence(*(t64(rng.standard_normal(s)) for s in ((5, 3), (3, 8), 8, (2, 8))),
-                               [3, 2])
+        out = dc.lstm_sequence(*(t64(rng.standard_normal(s))
+                                 for s in ((5, 3), (12, 2), 8, (8, 2))), [3, 2])
     node = tape.nodes[-1]
     node.backward_fn(np.ones(out.shape))
     with pytest.raises(TapeConsumedError):
@@ -362,13 +363,13 @@ def test_lstm_sequence_backward_runs_once():
 
 def test_lstm_sequence_frozen_inputs_under_a_tape_keep_no_bptt_state():
     """Under an active Tape, inputs of which none requires grad run forward-
-    only: nothing records, the traced peak stays below one (T·B, 4H) gate
-    buffer, which the recorded forward reaches, and the states are the
+    only: nothing records, the traced peak stays below one packed (4, N, H)
+    gate buffer, which the recorded forward reaches, and the states are the
     recorded forward's bits."""
     rng = np.random.default_rng(15)
     lengths = [200] + list(rng.integers(1, 201, size=19))
-    arrays = [rng.standard_normal(s) for s in ((sum(lengths), 8), (8, 128), 128, (32, 128))]
-    gate_bytes = 200 * 20 * 128 * 8
+    arrays = [rng.standard_normal(s) for s in ((sum(lengths), 8), (32, 32), 128, (128, 32))]
+    gate_bytes = sum(lengths) * 128 * 8
 
     def traced(grad):
         inputs = [t64(a, grad) for a in arrays]
@@ -387,6 +388,62 @@ def test_lstm_sequence_frozen_inputs_under_a_tape_keep_no_bptt_state():
     assert (lean_nodes, full_nodes) == (0, 1)
     assert lean_peak < gate_bytes <= full_peak
     assert lean.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_in_place_on_strided_views(dtype):
+    """`_sigmoid_` on a strided view gives the bits it gives on a contiguous
+    copy, at every stride from 1 to 12 items."""
+    for step in range(1, 13):
+        buf = np.linspace(-3.0, 3.0, 9 * step).astype(dtype)
+        view = buf[::step]
+        want = view.copy()
+        ops._sigmoid_(want)
+        ops._sigmoid_(view)
+        assert view.tobytes() == want.tobytes(), step
+
+
+def gate_major(w, rows):
+    """A (rows, 4H) weight with the gates side by side, as the time-major
+    reference takes it, stacked gate-major as (4·rows, H)."""
+    return w.reshape(rows, 4, w.shape[1] // 4).swapaxes(0, 1).reshape(4 * rows, -1)
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-frozen"])
+@pytest.mark.parametrize("lengths,D,H", [
+    ([37, 1, 118, 96], 64, 128),
+    ([5, 3, 5, 1, 5], 64, 128),
+    ([1, 3, 4], 2, 1),           # gate slabs of one value, 8 packed rows apart
+], ids=["ragged", "ties", "one-unit"])
+def test_lstm_sequence_matches_time_major_reference(lengths, D, H, x_grad):
+    """The packed, gate-major op gives the states and every gradient of the
+    time-major op it replaced (reference_ops), its weights re-laid, in
+    float64 within 1e-12 of each result's largest entry: desk widths, clips
+    given out of length order or of equal lengths, nonzero biases, with and
+    without a gradient for x."""
+    rng = np.random.default_rng(sum(lengths))
+    x = rng.standard_normal((sum(lengths), D))
+    wx = rng.uniform(-1, 1, size=(D, 4 * H)) / np.sqrt(H)
+    wh = rng.uniform(-1, 1, size=(H, 4 * H)) / np.sqrt(H)
+    b = rng.uniform(-0.5, 0.5, size=4 * H)
+    weights = dc.Tensor(rng.standard_normal((sum(lengths), H)))
+    results = []
+    for op, layout in ((rops.time_major_lstm_sequence, lambda w, rows: w),
+                       (dc.lstm_sequence, gate_major)):
+        inputs = [t64(x, x_grad), t64(layout(wx, D)), t64(b), t64(layout(wh, H))]
+        with dc.Tape():
+            out = op(*inputs, lengths)
+            grads = dc.backward(dc.sum_all(dc.mul(out, weights)))
+        assert (inputs[0] in grads) is x_grad
+        results.append([out.data, grads.get(inputs[0])] + [grads[t] for t in inputs[1:]])
+    (want_out, want_dx, want_dwx, want_db, want_dwh), got = results
+    wants = [want_out, want_dx, gate_major(want_dwx, D), want_db, gate_major(want_dwh, H)]
+    for got_a, want_a in zip(got, wants):
+        if want_a is None:
+            assert got_a is None
+            continue
+        assert got_a.shape == want_a.shape
+        np.testing.assert_allclose(got_a, want_a, rtol=0, atol=1e-12 * np.abs(want_a).max())
 
 
 @pytest.mark.parametrize("index", [
@@ -779,9 +836,10 @@ def test_conv2d_shared_border_matches_padded_kernel(C, stride, padding):
     in float32 the output, the input gradient and the bias gradient byte for
     byte. The weight gradient also sums the zero gradient rows of another
     grid, so in float32 it is held to 8 ulps of its largest entry. So is the
-    input gradient with one folded channel (C = 1 at stride 1): its per-tap
-    products are (N, O) @ (O, 1), which numpy runs as a matrix-vector
-    product whose last few rows round by their distance from row N."""
+    input gradient with one folded channel (C = 1 at stride 1): the
+    reference's per-tap products are (N, O) @ (O, 1), which numpy runs as a
+    matrix-vector product whose last few rows round by their distance from
+    row N, where the kernel runs one (N, taps) product."""
     rng = np.random.default_rng(100 * C + 10 * stride + padding)
     exact = (0, 1, 3) if C * stride > 1 else (0, 3)
     for B in (1, 2, 5):
@@ -813,7 +871,11 @@ def test_conv1d_shared_border_matches_padded_kernel(dtype, C, stride, K, padding
     """conv1d is one image one pixel wide, so it computes the rows it did
     before images shared their zero border: every result is byte-equal,
     its weight gradient included, for clips packed end to end with
-    `padding` zero rows between them."""
+    `padding` zero rows between them. The one exception is the input
+    gradient with one folded channel (C = 1 at stride 1): the kernel runs
+    it as one (N, taps) product, where the reference runs a matrix-vector
+    product per tap, so it is held to 8 ulps (float32) or 1e-12 (float64)
+    of its largest entry, as conv2d's is."""
     rng = np.random.default_rng(1000 * C + stride + K + padding)
     lengths = (K + 37, K + 1, 2 * K + 5)
     starts = np.cumsum((0,) + tuple(n + padding for n in lengths[:-1]))
@@ -823,23 +885,69 @@ def test_conv1d_shared_border_matches_padded_kernel(dtype, C, stride, K, padding
     data = (x, (rng.standard_normal((K, C, 5)) / np.sqrt(K * C)).astype(dtype),
             rng.standard_normal(5).astype(dtype))
     kwargs = dict(stride=stride, padding=padding)
-    for got, want in zip(*(conv_results(f, *data, kwargs)
-                           for f in (dc.conv1d, rops.padded_conv1d))):
-        assert got.tobytes() == want.tobytes()
+    results = [conv_results(f, *data, kwargs) for f in (dc.conv1d, rops.padded_conv1d)]
+    for i, (got, want) in enumerate(zip(*results)):
+        if i == 1 and C * stride == 1:
+            scale = 1e-12 if dtype == np.float64 else 8 * np.finfo(dtype).eps
+            np.testing.assert_allclose(got, want, rtol=0, atol=scale * np.abs(want).max())
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_single_channel_conv2d_input_gradient_is_batch_independent():
+    """With one folded channel (C = 1 at stride 1) image 0's float32 input
+    gradient is the same bits in a batch of 1 and in a batch of 3, over 40
+    seeded map sizes and widths: one (N, taps) product has no matrix-vector
+    rows that round by their distance from the batch's last row."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        H, W = (int(n) for n in rng.integers(4, 41, size=2))
+        O = int(rng.integers(2, 17))
+        x = rng.standard_normal((3, H, W, 1)).astype(np.float32)
+        w = (rng.standard_normal((3, 3, 1, O)) / 3).astype(np.float32)
+        g = rng.standard_normal((3, H, W, O)).astype(np.float32)
+        dx = []
+        for B in (1, 3):
+            xt = dc.Tensor(x[:B], requires_grad=True)
+            with dc.Tape():
+                out = dc.conv2d(xt, dc.Tensor(w, requires_grad=True), padding=1)
+                dx.append(dc.backward(dc.sum_all(dc.mul(out, dc.Tensor(g[:B]))))[xt][0])
+        assert dx[0].tobytes() == dx[1].tobytes(), (seed, H, W, O)
+
+
+@pytest.mark.parametrize("K,padding", [(3, 1), (3, 0), (5, 2), (1, 0)])
+def test_single_channel_conv2d_input_gradient_matches_padded_kernel(K, padding):
+    """The single-channel input gradient, one (N, taps) product added into
+    its rows tap by tap, is the per-tap sum of the kernel that padded every
+    image (reference_ops) in float64, within 1e-12 of its largest entry, at
+    B = 1 and 4 on desk conv1's 96 x 64 maps."""
+    rng = np.random.default_rng(K + padding)
+    for B in (1, 4):
+        data = (rng.standard_normal((B, 96, 64, 1)),
+                rng.standard_normal((K, K, 1, 8)) / K, rng.standard_normal(8))
+        kwargs = dict(stride=1, padding=padding)
+        got, want = (conv_results(f, *data, kwargs)[1] for f in (dc.conv2d, rops.padded_conv2d))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_desk_vgg_grids_share_one_zero_row_and_column_per_image(monkeypatch):
     """Each desk `vgg` conv (3 x 3, padding 1) computes (H + 1)(W + 1) grid
     rows per image, one zero row and one zero column shared with the next
     image and the next pixel row, and stops at the last kept row; an image
-    with a zero border of its own would take (H + 2)(W + 2)."""
+    with a zero border of its own would take (H + 2)(W + 2). The spy counts
+    the rows of every grid product: the per-tap `_matmul_add` calls and the
+    `np.matmul` calls, which conv1 (one channel) runs as one product forward
+    and one for the input gradient."""
     gemm_rows = []
 
-    def spy(a, b, out):
-        gemm_rows.append(a.shape[0])
-        _matmul_add(a, b, out)
+    def spy(product):
+        def counted(a, b, *args, **kwargs):
+            gemm_rows.append(a.shape[0])
+            return product(a, b, *args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(ops, "_matmul_add", spy)
+    monkeypatch.setattr(ops, "_matmul_add", spy(_matmul_add))
+    monkeypatch.setattr(np, "matmul", spy(np.matmul))
     (H, W), C = (96, 64), 1
     for i, O in enumerate(EncoderSpec("vgg", "desk").dims.vgg_channels):
         n = {}
@@ -849,7 +957,7 @@ def test_desk_vgg_grids_share_one_zero_row_and_column_per_image(monkeypatch):
             w = dc.Tensor(np.ones((3, 3, C, O), np.float32), requires_grad=True)
             with dc.Tape():
                 dc.backward(dc.sum_all(dc.conv2d(x, w, padding=1)))
-            assert len(set(gemm_rows)) == 1 and len(gemm_rows) >= 9
+            assert len(set(gemm_rows)) == 1 and len(gemm_rows) >= (2 if C == 1 else 18)
             n[B] = gemm_rows[0]
         assert n[2] - n[1] == (H + 1) * (W + 1), f"conv{i + 1}"
         assert n[1] == (H - 1) * (W + 1) + W, f"conv{i + 1}"
@@ -1064,7 +1172,7 @@ def gradcheck_cases(rng):
          lambda tl, tb: dc.sinc_kernel(tl, tb, 0.01, np.hamming(15)),
          [np.array([0.05, -0.12, 0.3, -0.6]), np.array([-0.1, 0.2, 0.35, 0.05])]),
         ("lstm_sequence", lambda x, wx, b, wh: dc.lstm_sequence(x, wx, b, wh, [2, 4, 1]),
-         [u(7, 5), u(5, 12), u(12), u(3, 12)]),
+         [u(7, 5), u(20, 3), u(12), u(12, 3)]),
     ]
     return cases
 
@@ -1269,6 +1377,19 @@ def test_archive_write_failing_part_way_keeps_previous_file(tmp_path, disk_full)
     disk_full()
     with pytest.raises(OSError):
         dc.save_archive(path, {"w": np.ones(600, dtype=np.float32)}, {"episode": 2})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("meta", [[{"episode": 1}], "episode", 3, []])
+def test_archive_writer_refuses_metadata_its_reader_rejects(tmp_path, meta):
+    """Metadata that is not a dict raises before anything is written: the
+    previous archive keeps its bytes, and no temp file is left."""
+    path = tmp_path / "model.ckpt"
+    dc.save_archive(path, {"w": np.arange(6, dtype=np.float32)}, {"episode": 1})
+    before = path.read_bytes()
+    with pytest.raises(CorruptCheckpointError, match="not a dict"):
+        dc.save_archive(path, {"w": np.ones(6, dtype=np.float32)}, meta)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 

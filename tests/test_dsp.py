@@ -247,6 +247,16 @@ def test_feature_dump_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded, feats.astype(np.float32).astype(np.float64))
 
 
+def test_feature_dump_rejects_payload_not_whole_floats(tmp_path):
+    """One byte appended to a valid dump leaves a payload that is not a
+    whole number of float32s: a ConfigError, as a short one of whole floats."""
+    path = tmp_path / "feats.lmel"
+    save_features(path, np.zeros((3, 64)))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ConfigError, match="payload of 769 bytes != 3x64 floats"):
+        load_features(path)
+
+
 def test_feature_dump_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.lmel"
     path.write_bytes(b"XXXX" + b"\0" * 20)

@@ -408,8 +408,8 @@ def test_forward_only_embedding_is_the_taped_embedding(kind, steps):
 
 def test_forward_only_desk_lstm_embed_peaks_below_one_gate_buffer():
     """A forward-only 100-clip desk embed, as validation and evaluation run
-    it, peaks below the (T·B, 4H) float32 gate buffer a recorded forward
-    allocates, let alone BPTT's h, c and tanh(c) histories."""
+    it, peaks below a time-major (T·B, 4H) float32 gate buffer, let alone
+    BPTT's h, c and tanh(c) histories."""
     enc = make("lstm")
     rng = np.random.default_rng(21)
     steps = [118] + list(rng.integers(49, 119, size=99))
