@@ -338,23 +338,23 @@ def lstm_sequence(x, wx, b, wh, lengths: Sequence[int]) -> Tensor:
     buffer keeps each gate's rows in one contiguous slab (Appleyard, Kočiský
     & Blunsom 2016). Each step adds b and the recurrent products h @ wh[k]
     to its (4, n_t, H) slabs, applies the gate activations in place and
-    writes its hidden rows to packed rows, which one scatter puts in x's
-    row order after the loop.
+    scatters its hidden rows into the output in x's row order.
 
     When a tape records (see `_recording_tape`), BPTT needs every step: one
     batched product projects the N packed rows into a (4, N, H) gate buffer,
-    and c and tanh(c) are kept for every packed row. The backward is
+    and h, c and tanh(c) are kept for every packed row. The backward is
     analytic BPTT over the same slabs; it overwrites the gate buffer with
     the gate gradients, so it runs once. d wx, d b and d wh are each one pass
     over the N packed rows, d wh with each row's entering state gathered
     once, and d x one product scattered back.
 
     When none records, only the current step is kept (Gruslys et al. 2016):
-    c lives in a two-slot ring, tanh(c) in one slot, and each step projects
-    its own packed rows. The same loop runs both ways, and the results are
-    the same bits: numpy runs a one-row product as a matrix-vector product,
-    which rounds differently, so no projection has one row unless N = 1, and
-    a step with one running clip projects two packed rows.
+    h and c live in two-slot rings, tanh(c) in one slot, and each step
+    projects its own packed rows. The same loop runs both ways, and the
+    results are the same bits: numpy runs a one-row product as a
+    matrix-vector product, which rounds differently, so no projection has one
+    row unless N = 1, and a step with one running clip projects two packed
+    rows.
     """
     x, wx, b, wh = as_tensor(x), as_tensor(wx), as_tensor(b), as_tensor(wh)
     lens = np.asarray(lengths, dtype=np.int64)
@@ -389,12 +389,13 @@ def lstm_sequence(x, wx, b, wh, lengths: Sequence[int]) -> Tensor:
     gates = np.empty((4, N if taped else max(B, min(N, 2)), H), dtype=dtype)
     if taped:
         np.matmul(xs, wx4, out=gates)
-    # c of step t starts at row cat[t], tanh(c) at row tat[t]: packed rows
-    # when taped, else a two-slot ring and one slot
+    # h and c of step t start at row cat[t], tanh(c) at row tat[t]: packed
+    # rows when taped, else a two-slot ring and one slot
     cat, tat = (offs, offs) if taped else ((np.arange(T) % 2) * B, np.zeros(T, np.int64))
-    c = np.empty((N if taped else 2 * B, H), dtype=dtype)
+    hs = np.empty((N if taped else 2 * B, H), dtype=dtype)
+    c = np.empty_like(hs)
     tc = np.empty((N if taped else B, H), dtype=dtype)
-    hs = np.empty((N, H), dtype=dtype)                         # packed hidden states
+    out = np.empty((N, H), dtype=dtype)
     for t in range(T):
         n, off = running[t], offs[t]
         if taped:
@@ -406,7 +407,7 @@ def lstm_sequence(x, wx, b, wh, lengths: Sequence[int]) -> Tensor:
             z = gates[:, off - lo:off - lo + n]
         z += b4                        # before h @ wh, rounding as (x @ wx + b) + h @ wh
         if t:
-            z += hs[offs[t - 1]:offs[t - 1] + n] @ wh4
+            z += hs[cat[t - 1]:cat[t - 1] + n] @ wh4
         i, f, g, o = z
         _sigmoid_(z[:2])
         np.tanh(g, out=g)
@@ -416,9 +417,7 @@ def lstm_sequence(x, wx, b, wh, lengths: Sequence[int]) -> Tensor:
         if t:
             ct += f * c[cat[t - 1]:cat[t - 1] + n]
         np.tanh(ct, out=tct)
-        np.multiply(o, tct, out=hs[off:off + n])
-    out = np.empty_like(hs)
-    out[src] = hs
+        out[src[off:off + n]] = np.multiply(o, tct, out=hs[cat[t]:cat[t] + n])
 
     def bwd(gout):
         nonlocal gates

@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ..audio_io import Waveform
+from ..dsp import FrontendConfig
 from ..errors import ConfigError, DimensionMismatchError, ShapeMismatchError
 from ..diffcore import Tensor, as_tensor, concat
 
@@ -16,21 +17,25 @@ SCALES = ("paper", "desk")
 
 WINDOW_FRAMES = 96
 WINDOW_HOP = 48
-N_MELS = 64
+N_MELS = FrontendConfig.n_mels
+
+# SincNet's layer (Ravanelli & Bengio 2018), the same at both scales. The
+# stack is as wide as the feature frames, so the composed encoders hand its
+# packed maps to a head built for log-mel frames.
+SINC_FILTERS = 64
+SINC_KERNEL_LEN = 251
+SINC_STRIDE = 80
+SINC_STACK_KERNEL = 5
+SINC_STACK_CHANNELS = N_MELS
 
 
 @dataclass(frozen=True)
 class EncoderDims:
-    """Size table for one scale; topology is identical across scales."""
+    """The sizes that differ by scale; topology is identical across scales."""
 
     vgg_channels: tuple
     lstm_hidden: int
     lstm_out: int
-    sinc_filters: int = 64
-    sinc_kernel_len: int = 251
-    sinc_stride: int = 80
-    sinc_stack_channels: int = 64
-    sinc_stack_kernel: int = 5
 
     @property
     def vgg_embed_dim(self) -> int:
@@ -66,17 +71,20 @@ class EncoderSpec:
             return d.vgg_embed_dim
         if self.kind in ("lstm", "sincnet+lstm"):
             return d.lstm_out
-        return d.sinc_stack_channels
+        return SINC_STACK_CHANNELS
 
     def header(self) -> dict:
         """Checkpoint header used to reject mismatched loads."""
-        from dataclasses import asdict
+        d = self.dims
         return {
             "kind": self.kind,
             "scale": self.scale,
             "embed_dim": self.embed_dim,
-            "dims": {k: list(v) if isinstance(v, tuple) else v
-                     for k, v in asdict(self.dims).items()},
+            "dims": {"vgg_channels": list(d.vgg_channels), "lstm_hidden": d.lstm_hidden,
+                     "lstm_out": d.lstm_out, "sinc_filters": SINC_FILTERS,
+                     "sinc_kernel_len": SINC_KERNEL_LEN, "sinc_stride": SINC_STRIDE,
+                     "sinc_stack_channels": SINC_STACK_CHANNELS,
+                     "sinc_stack_kernel": SINC_STACK_KERNEL},
         }
 
 

@@ -8,7 +8,7 @@ every conv1d and the pool take the whole batch as packed (L, C) rows, the
 clips laid end to end. Standalone, the map is time-averaged into the
 embedding; composed variants hand the batch's packed maps to the
 windowed-CNN or LSTM encoder's embed_rows as if they were packed feature
-frames (the stack width equals the feature width, 64, at both scales).
+frames (the stack width is the feature width, N_MELS, at both scales).
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from ..diffcore import (
 from ..diffcore.ops import sinc_cutoffs
 from ..dsp import mel_inverse, mel_scale
 from ..errors import ConfigError, KernelTooLongError, ShapeMismatchError
-from .base import Encoder, EncoderSpec, kaiming_uniform, raw_samples
+from .base import (SINC_FILTERS, SINC_KERNEL_LEN, SINC_STACK_CHANNELS, SINC_STACK_KERNEL,
+                   SINC_STRIDE, Encoder, EncoderSpec, kaiming_uniform, raw_samples)
 from .lstm import LstmEncoder
 from .vgg import VggEncoder
 
@@ -68,13 +69,12 @@ def sinc_init_mel(n_filters: int):
 class SincNetEncoder(Encoder):
     def __init__(self, spec: EncoderSpec, seed: int):
         self.spec = spec
-        d = spec.dims
-        theta_low, theta_band = sinc_init_mel(d.sinc_filters)
-        self.kernel_len = d.sinc_kernel_len
-        self.stride = d.sinc_stride
+        theta_low, theta_band = sinc_init_mel(SINC_FILTERS)
+        self.kernel_len = SINC_KERNEL_LEN
+        self.stride = SINC_STRIDE
         self._window = np.hamming(self.kernel_len).astype(np.float32)
         rng = np.random.default_rng(seed)
-        f, k, ch = d.sinc_filters, d.sinc_stack_kernel, d.sinc_stack_channels
+        f, k, ch = SINC_FILTERS, SINC_STACK_KERNEL, SINC_STACK_CHANNELS
         self.params = {
             "theta_low": Tensor(theta_low.astype(np.float32), requires_grad=True),
             "theta_band": Tensor(theta_band.astype(np.float32), requires_grad=True),

@@ -215,7 +215,7 @@ def test_criterion_dsp_oracles():
     ok = True
     details = []
 
-    frames = frame_signal(np.zeros(16000), cfg)
+    frames = frame_signal(np.zeros(16000))
     ok &= frames.shape[0] == 98
     details.append(f"frames {frames.shape[0]}")
 
@@ -223,7 +223,7 @@ def test_criterion_dsp_oracles():
     ok &= mel_err <= 0.01
     details.append(f"mel(700) err {mel_err:.4f}")
 
-    feats = extract_features(np.zeros(16000), cfg)
+    feats = extract_features(np.zeros(16000))
     floor_err = float(np.abs(feats - np.log(cfg.log_floor)).max())
     ok &= floor_err < 1e-9
     details.append(f"log-floor err {floor_err:.1e}")
@@ -233,7 +233,7 @@ def test_criterion_dsp_oracles():
     for f in safe_tone_frequencies(5, rng):
         t = np.arange(16000) / 16000.0
         x = (0.7 * np.sin(2 * np.pi * f * t)).astype(np.float32)
-        got = int(np.argmax(extract_features(x, cfg).mean(axis=0)))
+        got = int(np.argmax(extract_features(x).mean(axis=0)))
         tones_ok += got == tone_argmax_oracle(f)
     ok &= tones_ok == 5
     details.append(f"tone argmax {tones_ok}/5")

@@ -18,7 +18,7 @@ from protoaudio.datasetkit import (
     select_single_label_subset,
     single_label_count,
 )
-from protoaudio.dsp import FrontendConfig, extract_features
+from protoaudio.dsp import extract_features
 from protoaudio.errors import (
     ConfigError,
     DuplicatePathError,
@@ -340,9 +340,8 @@ def test_corpus_deterministic(tmp_path):
 def test_untrained_feature_prototypes_beat_chance(tmp_path):
     """Mean log-mel embeddings alone separate the timbre classes well above 1/k."""
     manifest, _ = gen_synthetic_corpus(tmp_path / "sep", 6, 10, seed=4)
-    cfg = FrontendConfig()
     table = {
-        e.path: extract_features(load_wav(e.path), cfg).mean(axis=0)
+        e.path: extract_features(load_wav(e.path)).mean(axis=0)
         for e in manifest.entries
     }
     split = manifest.by_class()

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,8 @@ from protoaudio.encoders import (
     sinc_init_mel,
     window_count,
 )
-from protoaudio.encoders.base import N_MELS
+from protoaudio.encoders.base import (N_MELS, SINC_FILTERS, SINC_KERNEL_LEN,
+                                      SINC_STACK_CHANNELS, SINC_STRIDE)
 from protoaudio.encoders.sincnet import MIN_BAND_HZ
 from protoaudio.errors import (
     ConfigError,
@@ -59,15 +61,40 @@ def test_desk_scale_dims():
     assert EncoderSpec("lstm", "desk").dims.lstm_hidden == 128
     assert EncoderSpec("lstm", "desk").embed_dim == 64
     assert EncoderSpec("sincnet", "desk").embed_dim == 64
-    d = EncoderSpec("sincnet", "desk").dims
-    assert (d.sinc_filters, d.sinc_kernel_len, d.sinc_stride) == (64, 251, 80)
+    assert (SINC_FILTERS, SINC_KERNEL_LEN, SINC_STRIDE) == (64, 251, 80)
+    assert [f.name for f in dataclasses.fields(EncoderSpec("sincnet", "desk").dims)] == [
+        "vgg_channels", "lstm_hidden", "lstm_out"]
 
 
 @pytest.mark.parametrize("scale", ["desk", "paper"])
 def test_sinc_stack_width_is_the_feature_width(scale):
     """The composed encoders hand SincNet's packed maps to a head built for
     log-mel frames, so the stack width equals N_MELS at every scale."""
-    assert EncoderSpec("sincnet", scale).dims.sinc_stack_channels == N_MELS
+    assert EncoderSpec("sincnet", scale).embed_dim == SINC_STACK_CHANNELS == N_MELS
+    assert N_MELS == FrontendConfig.n_mels
+
+
+_SINC_DIMS = {"sinc_filters": 64, "sinc_kernel_len": 251, "sinc_stride": 80,
+              "sinc_stack_channels": 64, "sinc_stack_kernel": 5}
+_SCALE_DIMS = {
+    "paper": {"vgg_channels": [64, 128, 256, 256, 512, 512, 512, 512],
+              "lstm_hidden": 4096, "lstm_out": 2048, **_SINC_DIMS},
+    "desk": {"vgg_channels": [8, 16, 32, 32, 64, 64, 64, 64],
+             "lstm_hidden": 128, "lstm_out": 64, **_SINC_DIMS},
+}
+
+
+@pytest.mark.parametrize("kind,scale,embed_dim", [
+    ("vgg", "paper", 3072), ("lstm", "paper", 2048), ("sincnet", "paper", 64),
+    ("sincnet+vgg", "paper", 3072), ("sincnet+lstm", "paper", 2048),
+    ("vgg", "desk", 384), ("lstm", "desk", 64), ("sincnet", "desk", 64),
+    ("sincnet+vgg", "desk", 384), ("sincnet+lstm", "desk", 64),
+])
+def test_checkpoint_header_is_the_golden_one(kind, scale, embed_dim):
+    """Every checkpoint carries this header and loads only into an encoder
+    whose header equals it; a change here changes the checkpoint format."""
+    assert EncoderSpec(kind, scale).header() == {
+        "kind": kind, "scale": scale, "embed_dim": embed_dim, "dims": _SCALE_DIMS[scale]}
 
 
 def test_unknown_kind_rejected():
@@ -78,14 +105,17 @@ def test_unknown_kind_rejected():
 
 
 def test_build_encoder_takes_only_the_fixed_front_end():
-    """The front end is fixed: build_encoder accepts FrontendConfig() in its
-    second place, as no config at all, and rejects any other config."""
+    """The front end is fixed: no FrontendConfig other than FrontendConfig()
+    can be made, and build_encoder accepts that one in its second place, as
+    no config at all, and rejects any other object."""
+    with pytest.raises(TypeError):
+        FrontendConfig(n_mels=40)
     spec = EncoderSpec("lstm", "desk")
     named, unnamed = build_encoder(spec, FrontendConfig(), 3), build_encoder(spec, seed=3)
     assert named.state_dict().keys() == unnamed.state_dict().keys()
     for name, value in named.state_dict().items():
         np.testing.assert_array_equal(value, unnamed.state_dict()[name])
-    for frontend in (FrontendConfig(n_mels=40), FrontendConfig(hop_samples=80)):
+    for frontend in (FrontendConfig, "FrontendConfig()", 64, object()):
         with pytest.raises(ConfigError, match="fixed front end"):
             build_encoder(spec, frontend, 3)
 
@@ -424,6 +454,28 @@ def test_forward_only_desk_lstm_embed_peaks_below_one_gate_buffer():
     finally:
         tracemalloc.stop()
     assert peak < gate_bytes
+
+
+def test_forward_only_lstm_sequence_writes_each_hidden_row_once():
+    """Forward-only, `lstm_sequence` holds its packed input copy (D floats a
+    row) and its output (H floats a row) and otherwise only a few steps'
+    rows: a packed history of hidden states beside the output would bring it
+    to D + 2H floats a row."""
+    rng = np.random.default_rng(21)
+    lengths = [118] + list(rng.integers(49, 119, size=99))
+    D, H, N = N_MELS, 128, sum(lengths)
+    x = rand_feats(rng, N)
+    wx, wh = (rng.uniform(-0.1, 0.1, size=s).astype(np.float32) for s in ((4 * D, H), (4 * H, H)))
+    b = rng.uniform(-0.5, 0.5, size=4 * H).astype(np.float32)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dc.lstm_sequence(x, wx, b, wh, lengths)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / 4 / N < D + 1.5 * H
 
 
 @pytest.mark.parametrize("kind", ["vgg", "lstm", "sincnet", "sincnet+vgg", "sincnet+lstm"])
