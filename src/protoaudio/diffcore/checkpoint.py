@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -127,9 +128,11 @@ def load_archive(path):
             raise CorruptCheckpointError(f"{path}: unknown dtype tag {tag}")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         dt = _DTYPE_FOR[tag]
-        n_items = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        buf = take(n_items * dt.itemsize)
-        tensors[name] = np.frombuffer(buf, dtype=dt).reshape(shape).copy()
+        buf = take(math.prod(shape) * dt.itemsize)
+        try:                            # numpy caps an array's dimensions
+            tensors[name] = np.frombuffer(buf, dtype=dt).reshape(shape).copy()
+        except ValueError as exc:
+            raise CorruptCheckpointError(f"{path}: tensor {name!r}: {exc}") from exc
     if off != len(body):
         raise CorruptCheckpointError(f"{path}: {len(body) - off} trailing bytes")
     return tensors, meta

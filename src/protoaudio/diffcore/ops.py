@@ -340,21 +340,18 @@ def lstm_sequence(x, wx, b, wh, lengths: Sequence[int]) -> Tensor:
     to its (4, n_t, H) slabs, applies the gate activations in place and
     scatters its hidden rows into the output in x's row order.
 
-    When a tape records (see `_recording_tape`), BPTT needs every step: one
-    batched product projects the N packed rows into a (4, N, H) gate buffer,
-    and h, c and tanh(c) are kept for every packed row. The backward is
-    analytic BPTT over the same slabs; it overwrites the gate buffer with
-    the gate gradients, so it runs once. d wx, d b and d wh are each one pass
-    over the N packed rows, d wh with each row's entering state gathered
-    once, and d x one product scattered back.
-
-    When none records, only the current step is kept (Gruslys et al. 2016):
-    h and c live in two-slot rings, tanh(c) in one slot, and each step
-    projects its own packed rows. The same loop runs both ways, and the
-    results are the same bits: numpy runs a one-row product as a
-    matrix-vector product, which rounds differently, so no projection has one
-    row unless N = 1, and a step with one running clip projects two packed
-    rows.
+    The tape decides only where a step's rows are kept, so it changes no
+    bit: every step runs the same products on the same rows either way.
+    Step t projects packed rows off_t : off_t + max(n_t, 2), the extra row
+    being the next step's first or a zero row kept after the last, as numpy
+    runs a one-row product as a matrix-vector product, which rounds
+    differently. Under a tape (see `_recording_tape`) the gates, h, c and
+    tanh(c) of every packed row are kept for BPTT; with none, only the
+    current step's, in one n_0-row slot each (Gruslys et al. 2016). The
+    backward is analytic BPTT over the same slabs. It overwrites the gate
+    buffer with the gate gradients, so it runs once. d wx, d b and d wh are
+    each one pass over the N packed rows, d wh with each row's entering
+    state gathered once, and d x one product scattered back.
     """
     x, wx, b, wh = as_tensor(x), as_tensor(wx), as_tensor(b), as_tensor(wh)
     lens = np.asarray(lengths, dtype=np.int64)
@@ -382,48 +379,38 @@ def lstm_sequence(x, wx, b, wh, lengths: Sequence[int]) -> Tensor:
     starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
     src = starts[order][np.arange(N) - offs[step]] + step      # x's row of each packed row
     dtype = np.result_type(x.dtype, wx.dtype, b.dtype, wh.dtype)
-    xs = x.data[src].astype(dtype, copy=False)
+    xs = x.data[np.append(src, 0)].astype(dtype, copy=False)
+    xs[N] = 0.0                        # reached by a last step with one running clip
     wx4, b4, wh4 = wx.data.reshape(4, D, H), b.data.reshape(4, 1, H), wh.data.reshape(4, H, H)
-    taped = _recording_tape((x, wx, b, wh)) is not None
     B = running[0]
-    gates = np.empty((4, N if taped else max(B, min(N, 2)), H), dtype=dtype)
-    if taped:
-        np.matmul(xs, wx4, out=gates)
-    # h and c of step t start at row cat[t], tanh(c) at row tat[t]: packed
-    # rows when taped, else a two-slot ring and one slot
-    cat, tat = (offs, offs) if taped else ((np.arange(T) % 2) * B, np.zeros(T, np.int64))
-    hs = np.empty((N if taped else 2 * B, H), dtype=dtype)
-    c = np.empty_like(hs)
-    tc = np.empty((N if taped else B, H), dtype=dtype)
+    # step t keeps its gates, h, c and tanh(c) from row at[t] on
+    taped = _recording_tape((x, wx, b, wh)) is not None
+    at, kept = (offs, N) if taped else (np.zeros_like(offs), B)
+    gates = np.empty((4, kept + 1, H), dtype=dtype)
+    hs, c, tc = (np.empty((kept, H), dtype=dtype) for _ in range(3))
     out = np.empty((N, H), dtype=dtype)
     for t in range(T):
-        n, off = running[t], offs[t]
-        if taped:
-            z = gates[:, off:off + n]
-        else:
-            m = max(n, min(N, 2))      # a one-row product would round differently
-            lo = max(0, off + n - m)
-            np.matmul(xs[lo:lo + m], wx4, out=gates[:, :m])
-            z = gates[:, off - lo:off - lo + n]
+        n, off, a, p = running[t], offs[t], at[t], at[t - 1]
+        m = max(n, 2)                  # a one-row product would round differently
+        np.matmul(xs[off:off + m], wx4, out=gates[:, a:a + m])
+        z = gates[:, a:a + n]
         z += b4                        # before h @ wh, rounding as (x @ wx + b) + h @ wh
         if t:
-            z += hs[cat[t - 1]:cat[t - 1] + n] @ wh4
+            z += hs[p:p + n] @ wh4
         i, f, g, o = z
         _sigmoid_(z[:2])
         np.tanh(g, out=g)
         _sigmoid_(o)
-        ct, tct = c[cat[t]:cat[t] + n], tc[tat[t]:tat[t] + n]
-        np.multiply(i, g, out=ct)
-        if t:
-            ct += f * c[cat[t - 1]:cat[t - 1] + n]
+        ct, tct = c[a:a + n], tc[a:a + n]
+        ct[...] = i * g + f * c[p:p + n] if t else i * g     # reads c_{t-1} before writing c_t
         np.tanh(ct, out=tct)
-        out[src[off:off + n]] = np.multiply(o, tct, out=hs[cat[t]:cat[t] + n])
+        out[src[off:off + n]] = np.multiply(o, tct, out=hs[a:a + n])
 
     def bwd(gout):
         nonlocal gates
         if gates is None:
             raise TapeConsumedError("lstm_sequence: backward already ran through its buffers")
-        dz_all, gates = gates, None     # step t's gate gradients overwrite its activations
+        dz_all, gates = gates[:, :N], None  # step t's gate gradients overwrite its activations
         dh_in = gout[src].astype(dtype, copy=False)
         wh4_t = np.ascontiguousarray(wh4.transpose(0, 2, 1))
         dh_rec = dc_rec = np.zeros((0, H), dtype=dtype)   # from step t + 1 into step t
@@ -457,7 +444,7 @@ def lstm_sequence(x, wx, b, wh, lengths: Sequence[int]) -> Tensor:
             dx = np.empty((N, D), dtype=dtype)
             dx[src] = np.matmul(dz_all, wx4.transpose(0, 2, 1)).sum(axis=0)
         if wx.requires_grad:
-            dwx = np.stack([xs.T @ dz for dz in dz_all]).reshape(4 * D, H)
+            dwx = np.stack([xs[:N].T @ dz for dz in dz_all]).reshape(4 * D, H)
         if b.requires_grad:
             db = dz_all.sum(axis=1).reshape(4 * H)
         if wh.requires_grad:

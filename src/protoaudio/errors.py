@@ -125,6 +125,11 @@ class CheckpointMismatchError(ProtoAudioError):
     exit_code = 3
 
 
+class CorruptHistoryError(ProtoAudioError):
+    """A line of history.jsonl is not an episode record; names the file and line."""
+    exit_code = 3
+
+
 class SplitMismatchError(ProtoAudioError):
     """The splits a run's manifest gives now disagree with the run's saved
     splits/ files; names the part and the classes that differ."""

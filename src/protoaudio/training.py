@@ -17,7 +17,8 @@ from .audio_io import load_wav
 from .diffcore import AdamState, Tape, adam_step, backward, load_archive, save_archive
 from .diffcore.ops import reshape, slice_rows, squared_euclidean
 from .encoders import Encoder, EncoderSpec, build_encoder
-from .errors import CheckpointMismatchError, ConfigError, NonFiniteValueError, ShapeMismatchError
+from .errors import (CheckpointMismatchError, ConfigError, CorruptHistoryError,
+                     NonFiniteValueError, ShapeMismatchError)
 from .protonet import Episode, check_split_holds_episode, episode_loss, sample_episode
 
 
@@ -64,11 +65,14 @@ class MetricRecord:
 
 def load_history(path) -> list:
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line_no, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if line.strip():
-            d = json.loads(line)
-            records.append(MetricRecord(d["episode"], d["loss"],
-                                        d["val_accuracy"], d["timestamp"]))
+            try:            # a line that is not UTF-8 raises UnicodeDecodeError, a ValueError
+                d = json.loads(line)
+                records.append(MetricRecord(d["episode"], d["loss"],
+                                            d["val_accuracy"], d["timestamp"]))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorruptHistoryError(f"{path}: line {line_no}: {exc!r}") from exc
     return records
 
 

@@ -6,7 +6,9 @@ gradchecks each of them as it does every library op. `padded_conv1d` and
 `padded_conv2d` run the conv kernel as it was before neighbouring images
 shared their zero border, for the equivalence tests of `_conv`, and
 `time_major_lstm_sequence` is the `lstm_sequence` that packed, gate-major
-buffers replaced.
+buffers replaced, and `batched_projection_lstm_sequence` the one whose
+forward kept a batched projection for the taped mode beside per-step
+projections for the forward-only one.
 """
 
 import numpy as np
@@ -269,6 +271,127 @@ def time_major_lstm_sequence(x, wx, b, wh, lengths):
         db = dz_rows.sum(axis=0) if b.requires_grad else None
         # d wh = Σ_t h_tᵀ dz_t, where h_t is the state step t starts from
         dwh = h[:-1].reshape(T * B, H).T @ dz_rows if wh.requires_grad else None
+        return dx, dwx, db, dwh
+
+    return _finish("lstm_sequence", (x, wx, b, wh), out, bwd)
+
+
+def batched_projection_lstm_sequence(x, wx, b, wh, lengths):
+    """The `lstm_sequence` whose forward kept two paths, for the
+    equivalence tests: under a tape one batched product projected all N
+    packed rows before the loop, and with none each step projected its own
+    rows, looking one row back when only one clip ran. Its two modes agree
+    only where OpenBLAS gives every row of a product of two or more rows
+    the bits of the whole product."""
+    x, wx, b, wh = as_tensor(x), as_tensor(wx), as_tensor(b), as_tensor(wh)
+    lens = np.asarray(lengths, dtype=np.int64)
+    if wh.ndim != 2 or wh.data.shape[0] != 4 * wh.data.shape[1]:
+        raise ShapeMismatchError(f"lstm_sequence: wh {wh.data.shape} is not (4H, H)")
+    H = wh.data.shape[1]
+    if wx.ndim != 2 or wx.data.shape[0] % 4 or wx.data.shape[1] != H:
+        raise ShapeMismatchError(
+            f"lstm_sequence: wx {wx.data.shape} vs (4·D, {H}) for wh {wh.data.shape}"
+        )
+    if b.data.shape != (4 * H,):
+        raise ShapeMismatchError(f"lstm_sequence: b {b.data.shape} vs ({4 * H},)")
+    D = wx.data.shape[0] // 4
+    if x.ndim != 2 or x.data.shape[1] != D:
+        raise ShapeMismatchError(f"lstm_sequence: x {x.data.shape} vs (N, {D}) for wx")
+    if lens.ndim != 1 or lens.size == 0 or np.any(lens < 1) or lens.sum() != x.data.shape[0]:
+        raise ShapeMismatchError(
+            f"lstm_sequence: lengths {list(lengths)} do not tile {x.data.shape[0]} rows"
+        )
+    N, T = x.data.shape[0], int(lens.max())
+    order = np.argsort(-lens, kind="stable")                   # clips longest first
+    running = (lens[None, :] > np.arange(T)[:, None]).sum(axis=1)     # n_t
+    offs = np.concatenate([[0], np.cumsum(running)])           # off_t
+    step = np.repeat(np.arange(T), running)
+    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    src = starts[order][np.arange(N) - offs[step]] + step      # x's row of each packed row
+    dtype = np.result_type(x.dtype, wx.dtype, b.dtype, wh.dtype)
+    xs = x.data[src].astype(dtype, copy=False)
+    wx4, b4, wh4 = wx.data.reshape(4, D, H), b.data.reshape(4, 1, H), wh.data.reshape(4, H, H)
+    taped = _recording_tape((x, wx, b, wh)) is not None
+    B = running[0]
+    gates = np.empty((4, N if taped else max(B, min(N, 2)), H), dtype=dtype)
+    if taped:
+        np.matmul(xs, wx4, out=gates)
+    # h and c of step t start at row cat[t], tanh(c) at row tat[t]: packed
+    # rows when taped, else a two-slot ring and one slot
+    cat, tat = (offs, offs) if taped else ((np.arange(T) % 2) * B, np.zeros(T, np.int64))
+    hs = np.empty((N if taped else 2 * B, H), dtype=dtype)
+    c = np.empty_like(hs)
+    tc = np.empty((N if taped else B, H), dtype=dtype)
+    out = np.empty((N, H), dtype=dtype)
+    for t in range(T):
+        n, off = running[t], offs[t]
+        if taped:
+            z = gates[:, off:off + n]
+        else:
+            m = max(n, min(N, 2))      # a one-row product would round differently
+            lo = max(0, off + n - m)
+            np.matmul(xs[lo:lo + m], wx4, out=gates[:, :m])
+            z = gates[:, off - lo:off - lo + n]
+        z += b4                        # before h @ wh, rounding as (x @ wx + b) + h @ wh
+        if t:
+            z += hs[cat[t - 1]:cat[t - 1] + n] @ wh4
+        i, f, g, o = z
+        _sigmoid_(z[:2])
+        np.tanh(g, out=g)
+        _sigmoid_(o)
+        ct, tct = c[cat[t]:cat[t] + n], tc[tat[t]:tat[t] + n]
+        np.multiply(i, g, out=ct)
+        if t:
+            ct += f * c[cat[t - 1]:cat[t - 1] + n]
+        np.tanh(ct, out=tct)
+        out[src[off:off + n]] = np.multiply(o, tct, out=hs[cat[t]:cat[t] + n])
+
+    def bwd(gout):
+        nonlocal gates
+        if gates is None:
+            raise TapeConsumedError("lstm_sequence: backward already ran through its buffers")
+        dz_all, gates = gates, None     # step t's gate gradients overwrite its activations
+        dh_in = gout[src].astype(dtype, copy=False)
+        wh4_t = np.ascontiguousarray(wh4.transpose(0, 2, 1))
+        dh_rec = dc_rec = np.zeros((0, H), dtype=dtype)   # from step t + 1 into step t
+        for t in range(T - 1, -1, -1):
+            n, off, m = running[t], offs[t], dh_rec.shape[0]
+            z, tct = dz_all[:, off:off + n], tc[off:off + n]
+            i, f, g, o = z
+            dh = dh_in[off:off + n]
+            dh[:m] += dh_rec
+            dc = dh * o
+            dc *= 1.0 - tct * tct
+            dc[:m] += dc_rec
+            dz = np.empty_like(z)
+            np.multiply(dc, g, out=dz[0])
+            if t:
+                np.multiply(dc, c[offs[t - 1]:offs[t - 1] + n], out=dz[1])
+            else:
+                dz[1] = 0.0
+            np.multiply(dc, i, out=dz[2])
+            np.multiply(dh, tct, out=dz[3])
+            act_grad = 1.0 - z                 # sigmoid' = s(1 - s) for i, f, o
+            act_grad *= z
+            np.multiply(g, g, out=act_grad[2])   # tanh' = 1 - g² for g
+            np.subtract(1.0, act_grad[2], out=act_grad[2])
+            dc_rec = dc * f
+            np.multiply(dz, act_grad, out=z)
+            if t:
+                dh_rec = np.matmul(z, wh4_t).sum(axis=0)
+        dx = dwx = db = dwh = None
+        if x.requires_grad:
+            dx = np.empty((N, D), dtype=dtype)
+            dx[src] = np.matmul(dz_all, wx4.transpose(0, 2, 1)).sum(axis=0)
+        if wx.requires_grad:
+            dwx = np.stack([xs.T @ dz for dz in dz_all]).reshape(4 * D, H)
+        if b.requires_grad:
+            db = dz_all.sum(axis=1).reshape(4 * H)
+        if wh.requires_grad:
+            # d wh_k = Σ_t h_tᵀ dz_k,t over the rows of steps t ≥ 1, where
+            # h_t is the state row r of step t enters with, row r - n_{t-1}
+            entering = hs[np.arange(B, N) - np.repeat(running[:-1], running[1:])]
+            dwh = np.stack([entering.T @ dz[B:] for dz in dz_all]).reshape(4 * H, H)
         return dx, dwx, db, dwh
 
     return _finish("lstm_sequence", (x, wx, b, wh), out, bwd)

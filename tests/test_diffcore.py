@@ -446,6 +446,76 @@ def test_lstm_sequence_matches_time_major_reference(lengths, D, H, x_grad):
         np.testing.assert_allclose(got_a, want_a, rtol=0, atol=1e-12 * np.abs(want_a).max())
 
 
+def lstm_arrays(lengths, D, H, dtype, seed):
+    """x, wx, b and wh of `lstm_sequence`, gate-major, with nonzero biases."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((sum(lengths), D))
+    wx, wh = (rng.uniform(-1, 1, size=s) / np.sqrt(H) for s in ((4 * D, H), (4 * H, H)))
+    b = rng.uniform(-0.5, 0.5, size=4 * H)
+    return [a.astype(dtype) for a in (x, wx, b, wh)]
+
+
+def lstm_results(op, arrays, lengths, x_grad=True):
+    """The forward-only states, then the taped states and the gradients of
+    x (None when frozen), wx, b and wh for a fixed weighting of the states."""
+    forward_only = op(*arrays, lengths).data
+    inputs = [dc.Tensor(a, requires_grad=x_grad or k > 0) for k, a in enumerate(arrays)]
+    weights = np.random.default_rng(7).standard_normal(forward_only.shape)
+    with dc.Tape():
+        out = op(*inputs, lengths)
+        grads = dc.backward(dc.sum_all(dc.mul(out, weights.astype(forward_only.dtype))))
+    return [forward_only, out.data] + [grads.get(t) for t in inputs]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("H", [1, 2, 5, 128])
+@pytest.mark.parametrize("lengths", [
+    (9, 9, 9), (37, 1, 118, 96), (2, 1),
+    (40, 6, 3),                          # a lone longest clip: 34 steps of one clip
+    (1,),                                # N = 1
+], ids=["ties", "ragged", "two-one", "lone-longest", "N1"])
+def test_lstm_sequence_tape_changes_no_bit(lengths, H, dtype):
+    """Taped and forward-only `lstm_sequence` give the same state bits at
+    every width, narrow layers included: both modes run the same products on
+    the same rows, so their agreement does not rest on how a BLAS rounds the
+    rows of a product."""
+    for D in (3, 64):
+        arrays = lstm_arrays(lengths, D, H, dtype, seed=H + D)
+        forward_only, taped = lstm_results(dc.lstm_sequence, arrays, lengths)[:2]
+        assert forward_only.dtype == dtype
+        assert forward_only.tobytes() == taped.tobytes(), D
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-frozen"])
+@pytest.mark.parametrize("lengths,H,dtype,exact", [
+    ((37, 1, 118, 96), 128, np.float32, True),
+    ((37, 1, 118, 96), 128, np.float64, True),
+    ((5, 3, 5, 1, 5), 128, np.float32, True),
+    ((5, 3, 5, 1, 5), 128, np.float64, True),
+    ((1,), 128, np.float64, False),      # N = 1: the reference projects one row
+    ((9, 9, 9), 1, np.float64, False),   # the reference's two modes disagree here
+], ids=["ragged-f32", "ragged-f64", "ties-f32", "ties-f64", "N1-f64", "H1-f64"])
+def test_lstm_sequence_matches_batched_projection_reference(lengths, H, dtype, exact, x_grad):
+    """The one-loop op gives the forward-only states, the taped states and
+    all four gradients of the op it replaced (reference_ops), which projected
+    every packed row in one product when taped: the same bits at desk width,
+    and within 1e-12 of each result's largest entry in float64 where the
+    reference's two modes disagree or N = 1."""
+    arrays = lstm_arrays(lengths, 64, H, dtype, seed=sum(lengths))
+    got = lstm_results(dc.lstm_sequence, arrays, lengths, x_grad)
+    want = lstm_results(rops.batched_projection_lstm_sequence, arrays, lengths, x_grad)
+    assert (got[2] is None) is (want[2] is None) is not x_grad
+    for got_a, want_a in zip(got, want):
+        if want_a is None:
+            continue
+        assert got_a.dtype == want_a.dtype and got_a.shape == want_a.shape
+        if exact:
+            assert got_a.tobytes() == want_a.tobytes()
+        else:
+            np.testing.assert_allclose(got_a, want_a, rtol=0,
+                                       atol=1e-12 * np.abs(want_a).max())
+
+
 @pytest.mark.parametrize("index", [
     [0, 4],          # row 4 of 4
     [1, -2],         # below -1

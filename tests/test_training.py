@@ -13,6 +13,7 @@ from protoaudio.encoders import Encoder, EncoderSpec, build_encoder
 from protoaudio.errors import (
     CheckpointMismatchError,
     ConfigError,
+    CorruptHistoryError,
     InsufficientClassesError,
     InsufficientExamplesError,
     NonFiniteValueError,
@@ -551,6 +552,23 @@ def test_history_round_trip(tmp_path):
     loaded = load_history(path)
     assert loaded == records
     assert loaded[0].val_accuracy is None
+
+
+@pytest.mark.parametrize("bad_line,line_no", [
+    (b'{"episode": 2, "loss": 1.2, "val_\xff": 0.5}', 2),                  # not UTF-8
+    (b'{"episode": 2, "loss": 1.2, "val_accuracy": 0.5, "timest', 2),       # cut short
+    (b'{"episode": 2, "loss": 1.2, "timestamp": "t"}', 2),                 # no val_accuracy
+    (b'[2, 1.2, 0.5, "t"]', 2),                                            # not an object
+], ids=["not-utf8", "truncated", "missing-key", "not-object"])
+def test_corrupt_history_fails_with_exit_code_naming_the_line(tmp_path, bad_line, line_no):
+    """A history line that is not an episode record raises CorruptHistoryError
+    (exit 3) naming the file and the line, not a bare decode or key error."""
+    good = MetricRecord(1, 1.5, None, "2026-01-01T00:00:00.000+00:00").to_json().encode()
+    path = tmp_path / "history.jsonl"
+    path.write_bytes(good + b"\n" + bad_line + b"\n" + good + b"\n")
+    with pytest.raises(CorruptHistoryError, match=f"history.jsonl: line {line_no}: ") as info:
+        load_history(path)
+    assert info.value.exit_code == 3
 
 
 def test_encoder_checkpoint_round_trip(tmp_path):
