@@ -276,14 +276,17 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Errors naming a path that `main` reports as data errors (exit 3).
+PATH_ERRORS = (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError)
+
+
 def main(argv=None) -> int:
     """Run one command. A bad input prints one `<kind> error: ...` line and
     returns its exit code; the path errors count as data errors (3)."""
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ProtoAudioError, FileNotFoundError, FileExistsError, IsADirectoryError,
-            NotADirectoryError) as exc:
+    except (ProtoAudioError, *PATH_ERRORS) as exc:
         code = getattr(exc, "exit_code", 3)
         if code is None:
             raise

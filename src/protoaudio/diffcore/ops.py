@@ -529,6 +529,11 @@ def cross_entropy(logits, labels) -> Tensor:
 
 # -- convolution & pooling -----------------------------------------------------
 
+# Bytes of grid rows one block of `_conv`'s images computes into before its
+# kept rows are copied out: a scratch that stays in L2 (ROADMAP Decisions).
+CONV_BLOCK_BYTES = 1 << 20
+
+
 def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
           x4: np.ndarray, w4: np.ndarray, stride: tuple, padding: tuple) -> Tensor:
     """The one convolution kernel, on 4-D views x4 (B, H, W, C) and
@@ -547,15 +552,19 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     and the GEMMs stop at the last kept row, N = ((B − 1)·Hs + Ho − 1)·Ws + Wo.
     The forward's taps and the input gradient's per-tap products sum straight
     into their output rows through `_matmul_add` (β = 1), with no temporary.
-    Grid rows past an image's Ho × Wo are computed, then dropped as the kept
-    rows of Wo·O floats are copied out, the bias added in the same pass. With
-    one folded channel (`vgg` conv1) those GEMMs would have inner size 1 and
-    run ~7x slower, so the forward runs one im2col GEMM instead, through the
-    transpose of a (taps, rows) array filled one contiguous tap row at a time.
-    Its input gradient is one (N, taps) product whose columns add into their
-    rows in tap order: per tap it would be an (N, O) @ (O, 1) matrix-vector
-    product, whose last rows round by their distance from row N, so an
-    image's gradient would depend on the batch it came in.
+    The forward runs over near-equal blocks of whole images, as few as fit
+    CONV_BLOCK_BYTES of grid rows each (Cho & Brand 2017): a block's GEMMs
+    fill one scratch, and its kept rows of Wo·O floats go straight into the
+    output, the bias added in the same pass. With no row to drop the GEMMs
+    write into the output rows. With one folded channel (`vgg` conv1) those
+    GEMMs would have inner size 1 and run ~7x slower, so each block runs one
+    im2col GEMM instead, through the transpose of a (taps, rows) array filled
+    one contiguous tap row at a time. Its input gradient is one (N, taps)
+    product whose columns add into their rows in tap order: per tap it would
+    be an (N, O) @ (O, 1) matrix-vector product, whose last rows round by
+    their distance from row N, so an image's gradient would depend on the
+    batch it came in. The tape keeps x, not its padded rows: the backward
+    pads them again (Chen, Xu, Zhang & Guestrin 2016).
     conv1d's (L, C) rows come in as the view (1, L, 1, C), and their output
     goes back as (Lo, O) rows: one image one pixel wide has no row to drop.
     """
@@ -569,36 +578,50 @@ def _conv(op_name: str, x: Tensor, w: Tensor, bias: Optional[Tensor],
     Hs, Ws = max(Ho, -(-(H + ph) // sh)), max(Wo, -(-(W + pw) // sw))
     D = sh * sw * C
     dtype = np.result_type(x4.dtype, w4.dtype)
-    cells = np.zeros(((B * Hs + Jh) * sh, Ws * sw, C), dtype=x4.dtype)
-    cells[:B * Hs * sh].reshape(B, Hs * sh, Ws * sw, C)[:, ph:ph + H, pw:pw + W] = x4
-    rows = cells.reshape(B * Hs + Jh, sh, Ws, sw, C).swapaxes(1, 2).reshape(-1, D)
+
+    def padded_rows():
+        cells = np.zeros(((B * Hs + Jh) * sh, Ws * sw, C), dtype=x4.dtype)
+        cells[:B * Hs * sh].reshape(B, Hs * sh, Ws * sw, C)[:, ph:ph + H, pw:pw + W] = x4
+        return cells.reshape(B * Hs + Jh, sh, Ws, sw, C).swapaxes(1, 2).reshape(-1, D)
+
     wpad = np.zeros((Jh * sh, Jw * sw, C, O), dtype=w4.dtype)
     wpad[:KH, :KW] = w4
     taps = wpad.reshape(Jh, sh, Jw, sw, C, O).swapaxes(1, 2).reshape(Jh * Jw, D, O)
     offs = [jh * Ws + jw for jh in range(Jh) for jw in range(Jw)]
     N = ((B - 1) * Hs + Ho - 1) * Ws + Wo    # the last kept row is N - 1
     dropped = N != B * Ho * Wo              # False for conv1d: B = 1, Ws = 1
-    grid = np.empty((B * Hs * Ws, O), dtype=dtype)
-    acc = grid[:N]
-    if D == 1:
-        col = np.empty((Jh * Jw, N), dtype=rows.dtype)
-        for j, off in enumerate(offs):
-            col[j] = rows[off:off + N, 0]
-        np.matmul(col.T, taps.reshape(Jh * Jw, O), out=acc)
-        del col                         # before the output copy below
-    else:
-        np.matmul(rows[:N], taps[0], out=acc)
-        for off, tap in zip(offs[1:], taps[1:]):
-            _matmul_add(rows[off:off + N], tap, acc)
-    kept = grid.reshape(B, Hs, Ws * O)[:, :Ho, :Wo * O]  # contiguous unless dropped
-    if bias is None:
-        out = np.ascontiguousarray(kept)
-    else:                               # long rows of Wo·O floats, not (N, O) rows of O
-        out = np.empty(kept.shape, dtype=dtype) if dropped else kept
-        np.add(kept, np.tile(bias.data, Wo), out=out)
+    rows, image = padded_rows(), Hs * Ws
+    blocks = -(-B // max(1, CONV_BLOCK_BYTES // (image * O * np.dtype(dtype).itemsize)))
+    edges = [B * k // blocks for k in range(blocks + 1)]
+    out = np.empty((B, Ho, Wo * O), dtype=dtype)
+    if dropped:
+        scratch = np.empty((-(-B // blocks) * image, O), dtype=dtype)
+    bias_row = None if bias is None else np.tile(bias.data, Wo)
+    for b0, b1 in zip(edges, edges[1:]):
+        r0, n = b0 * image, ((b1 - b0 - 1) * Hs + Ho - 1) * Ws + Wo
+        acc = scratch[:n] if dropped else out.reshape(-1, O)[r0:r0 + n]
+        if D == 1:
+            col = np.empty((Jh * Jw, n), dtype=rows.dtype)
+            for j, off in enumerate(offs):
+                col[j] = rows[r0 + off:r0 + off + n, 0]
+            np.matmul(col.T, taps.reshape(Jh * Jw, O), out=acc)
+            del col                     # before the next block's
+        else:
+            np.matmul(rows[r0:r0 + n], taps[0], out=acc)
+            for off, tap in zip(offs[1:], taps[1:]):
+                _matmul_add(rows[r0 + off:r0 + off + n], tap, acc)
+        if dropped:                     # long rows of Wo·O floats, not (n, O) rows of O
+            kept = scratch[:(b1 - b0) * image].reshape(-1, Hs, Ws * O)[:, :Ho, :Wo * O]
+            if bias is None:
+                out[b0:b1] = kept
+            else:
+                np.add(kept, bias_row, out=out[b0:b1])
+    if bias is not None and not dropped:
+        np.add(out, bias_row, out=out)
     out = out.reshape((Ho, O) if x.ndim == 2 else (B, Ho, Wo, O))
 
     def bwd(g):
+        rows = padded_rows()
         if dropped:
             gflat = np.empty((B * Hs * Ws, O), dtype=g.dtype)
             grid4 = gflat.reshape(B, Hs, Ws, O)

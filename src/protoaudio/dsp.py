@@ -123,12 +123,20 @@ def save_features(path, features: np.ndarray) -> None:
 
 
 def load_features(path) -> np.ndarray:
+    """Read a `save_features` dump as float64; ConfigError unless it holds
+    T >= 1 whole, finite float32 rows of the front end's n_mels."""
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != FEATURE_MAGIC:
         raise ConfigError(f"{path}: not a feature dump (bad magic)")
     version, t, n_mels = struct.unpack("<III", blob[4:16])
     if version != FEATURE_VERSION:
         raise ConfigError(f"{path}: unsupported feature dump version {version}")
+    if t < 1 or n_mels != FrontendConfig.n_mels:
+        raise ConfigError(f"{path}: {t}x{n_mels} features; the front end gives T >= 1 frames "
+                          f"of {FrontendConfig.n_mels} mel bands")
     if len(blob) - 16 != 4 * t * n_mels:
         raise ConfigError(f"{path}: payload of {len(blob) - 16} bytes != {t}x{n_mels} floats")
-    return np.frombuffer(blob[16:], dtype="<f4").reshape(t, n_mels).astype(np.float64)
+    feats = np.frombuffer(blob[16:], dtype="<f4").reshape(t, n_mels)
+    if not np.isfinite(feats).all():
+        raise ConfigError(f"{path}: payload holds a NaN or infinite value")
+    return feats.astype(np.float64)

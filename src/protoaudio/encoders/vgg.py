@@ -79,7 +79,7 @@ class VggEncoder(FrameEncoder):
         offset = WINDOW_HOP * window[:, None] + np.arange(WINDOW_FRAMES)  # frames of its clip
         start = (np.cumsum(lengths) - lengths)[clip, None]
         index = np.where(offset < lengths[clip, None], start + offset, -1)
-        halves = [reshape(gather_rows(rows, index[:, h:h + WINDOW_HOP].ravel()),
-                          (clip.size, WINDOW_HOP, N_MELS, 1))
-                  for h in (0, WINDOW_HOP)]
-        return segment_mean(self._trunk(concat(halves, axis=1)), counts)
+        windows = concat([reshape(gather_rows(rows, index[:, h:h + WINDOW_HOP].ravel()),
+                                  (clip.size, WINDOW_HOP, N_MELS, 1))
+                          for h in (0, WINDOW_HOP)], axis=1)   # halves freed here
+        return segment_mean(self._trunk(windows), counts)

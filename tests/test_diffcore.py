@@ -23,6 +23,7 @@ from protoaudio.diffcore import ops
 from protoaudio.diffcore.ops import _finish, _matmul_add
 from protoaudio.diffcore.tensor import _keep_freed_memory_mapped
 from protoaudio.encoders import EncoderSpec
+from protoaudio.encoders.base import SINC_FILTERS, SINC_KERNEL_LEN, SINC_STRIDE
 from protoaudio.encoders.vgg import _POOL_AFTER
 from protoaudio.errors import (
     ConfigError,
@@ -1006,8 +1007,12 @@ def test_desk_vgg_grids_share_one_zero_row_and_column_per_image(monkeypatch):
     image and the next pixel row, and stops at the last kept row; an image
     with a zero border of its own would take (H + 2)(W + 2). The spy counts
     the rows of every grid product: the per-tap `_matmul_add` calls and the
-    `np.matmul` calls, which conv1 (one channel) runs as one product forward
-    and one for the input gradient."""
+    `np.matmul` calls, which conv1 (one channel) runs as one product per
+    block forward and one for the input gradient. With a budget of two
+    images, B = 5 runs in blocks of 1, 2 and 2 images; each block's GEMMs
+    stop at its own last kept row, so their rows sum to the batch's
+    N = ((B − 1)·Hs + Ho − 1)·Ws + Wo, less Ws + 1 rows past each block but
+    the last, and the input gradient's products run over all N rows."""
     gemm_rows = []
 
     def spy(product):
@@ -1020,20 +1025,115 @@ def test_desk_vgg_grids_share_one_zero_row_and_column_per_image(monkeypatch):
     monkeypatch.setattr(np, "matmul", spy(np.matmul))
     (H, W), C = (96, 64), 1
     for i, O in enumerate(EncoderSpec("vgg", "desk").dims.vgg_channels):
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", 2 * (H + 1) * (W + 1) * O * 4)
+        calls = 1 if C == 1 else 9      # per block forward, and for the input gradient
         n = {}
-        for B in (1, 2):
+        for B in (1, 2, 5):
             gemm_rows.clear()
             x = dc.Tensor(np.ones((B, H, W, C), np.float32), requires_grad=True)
             w = dc.Tensor(np.ones((3, 3, C, O), np.float32), requires_grad=True)
             with dc.Tape():
                 dc.backward(dc.sum_all(dc.conv2d(x, w, padding=1)))
-            assert len(set(gemm_rows)) == 1 and len(gemm_rows) >= (2 if C == 1 else 18)
-            n[B] = gemm_rows[0]
+            blocks = -(-B // 2)
+            forward, backward = gemm_rows[:-calls], gemm_rows[-calls:]
+            assert len(forward) == blocks * calls and len(set(backward)) == 1
+            n[B] = backward[0]
+            assert sum(forward[::calls]) == n[B] - (blocks - 1) * (W + 2), f"conv{i + 1}"
+            assert n[B] == ((B - 1) * (H + 1) + H - 1) * (W + 1) + W, f"conv{i + 1}"
         assert n[2] - n[1] == (H + 1) * (W + 1), f"conv{i + 1}"
         assert n[1] == (H - 1) * (W + 1) + W, f"conv{i + 1}"
         if i in _POOL_AFTER:
             H, W = H // 2, W // 2
         C = O
+
+
+def vgg_conv_shapes(scale):
+    """(H, W, C, O) of each `vgg` conv at scale."""
+    (H, W), C, shapes = (96, 64), 1, []
+    for i, O in enumerate(EncoderSpec("vgg", scale).dims.vgg_channels):
+        shapes.append((H, W, C, O))
+        if i in _POOL_AFTER:
+            H, W = H // 2, W // 2
+        C = O
+    return shapes
+
+
+def blocked_and_whole(monkeypatch, data, kwargs, per):
+    """conv_results of conv2d with a budget of `per` images of its grid, and
+    with one that fits any batch, which runs the whole batch as one block."""
+    (H, W), (KH, KW), O = data[0].shape[1:3], data[1].shape[:2], data[1].shape[-1]
+    s, p = kwargs.get("stride", 1), kwargs["padding"]
+    Hs = max((H + 2 * p - KH) // s + 1, -(-(H + p) // s))
+    Ws = max((W + 2 * p - KW) // s + 1, -(-(W + p) // s))
+    results = []
+    for budget in (per * Hs * Ws * O * data[0].itemsize, 1 << 62):
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", budget)
+        results.append(conv_results(dc.conv2d, *data, kwargs))
+    return results
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_conv_blocks_keep_every_bit(monkeypatch, scale):
+    """With the budget shrunk to `per` images, B = 1, per, per + 1 and
+    3·per + 1 run in one to four blocks. On every `vgg` conv shape the float32
+    output is byte-equal to the kernel that padded each image
+    (reference_ops) and to the whole batch run as one product, and so are the
+    gradients to the one-product run's: OpenBLAS rounds each row of these
+    products the same whatever their row count. (The weight gradient, and
+    conv1's input gradient, differ from the reference's in their last bits
+    whatever the blocks: test_conv2d_shared_border_matches_padded_kernel.)"""
+    per = 2 if scale == "desk" else 1
+    for H, W, C, O in vgg_conv_shapes(scale):
+        for B in sorted({1, per, per + 1, 3 * per + 1}):
+            rng = np.random.default_rng(B + C)
+            data = (rng.standard_normal((B, H, W, C)).astype(np.float32),
+                    (rng.standard_normal((3, 3, C, O)) / np.sqrt(9 * C)).astype(np.float32),
+                    rng.standard_normal(O).astype(np.float32))
+            blocked, whole = blocked_and_whole(monkeypatch, data, dict(padding=1), per)
+            want = rops.padded_conv2d(*data, padding=1).data
+            assert blocked[0].tobytes() == want.tobytes(), (H, W, C, O, B)
+            for got, one in zip(blocked, whole):
+                assert got.tobytes() == one.tobytes(), (H, W, C, O, B)
+
+
+def test_sincnet_conv1d_blocks_keep_every_bit(monkeypatch):
+    """conv1d is one image, so a shrunk budget still runs one block: the
+    three desk `sincnet` convs (the stride-80 sinc layer and the two
+    5-tap stack convs over 3 clips) give the padded kernel's bits, output
+    and gradients."""
+    rng = np.random.default_rng(17)
+    cases = [((16000, 1), (SINC_KERNEL_LEN, 1, SINC_FILTERS), dict(stride=SINC_STRIDE)),
+             ((3 * 99 + 4, 64), (5, 64, 64), dict(padding=2)),
+             ((3 * 99 + 4, 64), (5, 64, 64), dict(padding=2))]
+    for x_shape, w_shape, kwargs in cases:
+        data = (rng.standard_normal(x_shape).astype(np.float32),
+                (rng.standard_normal(w_shape) / np.sqrt(np.prod(w_shape[:2]))).astype(np.float32),
+                rng.standard_normal(w_shape[-1]).astype(np.float32))
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", 1)
+        got = conv_results(dc.conv1d, *data, kwargs)
+        want = conv_results(rops.padded_conv1d, *data, kwargs)
+        for g, wnt in zip(got, want):
+            assert g.tobytes() == wnt.tobytes(), (x_shape, w_shape)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_narrow_conv_blocks_match_padded_kernel(monkeypatch, stride):
+    """At O <= 5 OpenBLAS can round a row by the product's row count, so a
+    block's rows need not be the whole product's bits. In float64 the
+    blocked output stays within 1e-12 of its largest entry of the padded
+    kernel's, with B = 1, 2, 3 and 7 in blocks of up to 2 images, and the
+    gradients are the one-product run's bits."""
+    rng = np.random.default_rng(stride)
+    for H, W, C, O in ((12, 8, 1, 5), (12, 8, 3, 4), (7, 5, 8, 1), (6, 4, 64, 5)):
+        for B in (1, 2, 3, 7):
+            data = (rng.standard_normal((B, H, W, C)),
+                    rng.standard_normal((3, 3, C, O)) / np.sqrt(9 * C), rng.standard_normal(O))
+            kwargs = dict(stride=stride, padding=1)
+            blocked, whole = blocked_and_whole(monkeypatch, data, kwargs, 2)
+            want = rops.padded_conv2d(*data, **kwargs).data
+            np.testing.assert_allclose(blocked[0], want, rtol=0, atol=1e-12 * np.abs(want).max())
+            for got, one in zip(blocked[1:], whole[1:]):
+                assert got.tobytes() == one.tobytes(), (H, W, C, O, B)
 
 
 def argmax_max_pool1d(x, g, k):

@@ -257,6 +257,42 @@ def test_feature_dump_rejects_payload_not_whole_floats(tmp_path):
         load_features(path)
 
 
+@pytest.mark.parametrize("shape", [(3, 40), (0, 64)])
+def test_feature_dump_rejects_shapes_no_encoder_takes(tmp_path, shape):
+    """A dump of 40 bands, or of no frames, holds whole floats, but the
+    front end never gives it and no encoder reads it."""
+    path = tmp_path / "feats.lmel"
+    save_features(path, np.zeros(shape))
+    with pytest.raises(ConfigError, match=f"{shape[0]}x{shape[1]} features; the front end "
+                                          "gives T >= 1 frames of 64 mel bands"):
+        load_features(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_feature_dump_rejects_non_finite_values(tmp_path, value):
+    """A NaN or infinite value, as a flipped exponent byte makes, fails
+    when the dump is read, not in the encoder that gets it."""
+    feats = np.zeros((3, 64))
+    feats[1, 7] = value
+    path = tmp_path / "feats.lmel"
+    save_features(path, feats)
+    with pytest.raises(ConfigError, match="NaN or infinite"):
+        load_features(path)
+
+
+def test_feature_dump_rejects_a_signalling_nan_without_a_warning(tmp_path, recwarn):
+    """A signalling NaN, whose float64 cast warns `invalid value`, is refused
+    before the cast."""
+    path = tmp_path / "feats.lmel"
+    save_features(path, np.zeros((3, 64)))
+    blob = bytearray(path.read_bytes())
+    blob[16 + 4 * 70:16 + 4 * 71] = bytes.fromhex("0100a07f")   # 0x7fa00001, quiet bit clear
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="NaN or infinite"):
+        load_features(path)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_feature_dump_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.lmel"
     path.write_bytes(b"XXXX" + b"\0" * 20)

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from protoaudio.audio_io import TimbreProfile, load_wav, synth_clip, write_wav
-from protoaudio.datasetkit import load_manifest
+from protoaudio.cli import PATH_ERRORS, load_run
+from protoaudio.datasetkit import check_saved_split, gen_synthetic_corpus, load_manifest, save_split
 from protoaudio.diffcore import load_archive, save_archive
 from protoaudio.dsp import extract_features, load_features, save_features
 from protoaudio.encoders import EncoderSpec, build_encoder
@@ -61,8 +62,11 @@ def resign(data: bytes) -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
-def fuzz(tmp_path, name, valid: bytes, header_len: int, read, seed, finish=lambda b: b):
-    """Runs read on MUTANTS mutants of valid; returns how many loaded."""
+def fuzz(tmp_path, name, valid: bytes, header_len: int, read, seed, finish=lambda b: b,
+         path_errors=False):
+    """Runs read on MUTANTS mutants of valid; returns how many loaded. With
+    path_errors, a reader may also raise the errors of a path it names that
+    `cli.main` maps to exit 3."""
     rng = random.Random(seed)
     path = tmp_path / name
     loaded, escaped = 0, []
@@ -73,6 +77,9 @@ def fuzz(tmp_path, name, valid: bytes, header_len: int, read, seed, finish=lambd
             loaded += 1
         except ProtoAudioError as exc:
             if exc.exit_code is None:
+                escaped.append((k, repr(exc)))
+        except PATH_ERRORS as exc:
+            if not path_errors:
                 escaped.append((k, repr(exc)))
         except Exception as exc:     # anything else would end the CLI in a traceback
             escaped.append((k, repr(exc)))
@@ -94,6 +101,7 @@ def test_wav_mutants_load_or_fail_with_an_exit_code(tmp_path, read):
     assert 0 < loaded < MUTANTS
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_feature_dump_mutants_load_or_fail_with_an_exit_code(tmp_path):
     path = tmp_path / "valid.lmel"
     save_features(path, np.random.default_rng(2).uniform(-13.8, 0.0, size=(5, 64)))
@@ -140,4 +148,56 @@ def test_history_mutants_load_or_fail_with_an_exit_code(tmp_path):
     valid = "".join(r.to_json() + "\n" for r in records).encode()
     loaded = fuzz(tmp_path, "history.jsonl", valid, valid.index(b"\n") + 1, load_history,
                   seed=6)
+    assert 0 < loaded < MUTANTS
+
+
+@pytest.fixture(scope="module")
+def run_config(tmp_path_factory):
+    """A config naming a small synthetic corpus by absolute path, with the
+    three lines every run reads first as its header, and its length."""
+    root = tmp_path_factory.mktemp("corpus")
+    _, manifest = gen_synthetic_corpus(root, n_classes=6, clips_per_class=3, seed=7)
+    head = f"encoder = vgg\nscale = desk\nmanifest = {manifest}\n"
+    rest = ("# a comment\nsplit_ratios = 0.5,0.25,0.25\nmin_per_class = 2\nn_shot = 1\n"
+            "k_way = 2\nq_query = 1\nmax_episodes = 4\neval_interval = 2\nlr = 1e-3\n"
+            "seed = 3\n")
+    return (head + rest).encode(), len(head)
+
+
+def test_config_mutants_load_or_fail_with_an_exit_code(tmp_path, monkeypatch, run_config):
+    monkeypatch.delenv("PROTOAUDIO_SEED", raising=False)
+    valid, header_len = run_config
+    loaded = fuzz(tmp_path, "run.cfg", valid, header_len, load_run, seed=8, path_errors=True)
+    assert 0 < loaded < MUTANTS
+
+
+def test_config_snapshot_mutants_load_or_fail_with_an_exit_code(tmp_path, monkeypatch,
+                                                                run_config):
+    """A run's config.snapshot read as `eval --run` reads it: the run, then
+    its saved splits, which a mutated seed, ratio or manifest contradicts."""
+    monkeypatch.delenv("PROTOAUDIO_SEED", raising=False)
+    valid, header_len = run_config
+    (tmp_path / "valid.cfg").write_bytes(valid)
+    save_split(load_run(tmp_path / "valid.cfg")[2], tmp_path / "splits")
+
+    def read(path):
+        check_saved_split(load_run(path)[2], tmp_path / "splits")
+
+    loaded = fuzz(tmp_path, "config.snapshot", valid, header_len, read, seed=9,
+                  path_errors=True)
+    assert 0 < loaded < MUTANTS
+
+
+@pytest.mark.parametrize("part", ["train", "val", "test"])
+def test_split_file_mutants_load_or_fail_with_an_exit_code(tmp_path, monkeypatch, run_config,
+                                                           part):
+    monkeypatch.delenv("PROTOAUDIO_SEED", raising=False)
+    valid, _ = run_config
+    (tmp_path / "valid.cfg").write_bytes(valid)
+    split = load_run(tmp_path / "valid.cfg")[2]
+    save_split(split, tmp_path / "splits")
+    name = f"splits/{part}_classes.txt"
+    text = (tmp_path / name).read_bytes()
+    loaded = fuzz(tmp_path, name, text, text.index(b"\n") + 1,
+                  lambda path: check_saved_split(split, path.parent), seed=10, path_errors=True)
     assert 0 < loaded < MUTANTS
